@@ -73,7 +73,9 @@ kinds join the mix:
                       pass ``Database.verify(strict=True, deep=True)``;
 ``("checkpoint",)``   write an atomic snapshot and truncate the log;
 ``("compact",)``      rewrite the log dropping expired and superseded
-                      records -- the recovered state must not change.
+                      records -- the recovered state must not change, and
+                      no record may survive for a row that is dead and
+                      absent from the base snapshot.
 
 Crash ops replay deterministically like every other op, so shrinking
 works unchanged: a failure after three crashes shrinks to the minimal op
@@ -82,6 +84,7 @@ list that still breaks, crashes included.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import random
@@ -407,6 +410,7 @@ class _Harness:
         elif kind == "compact":
             self._require_wal(kind)
             self.db.compact_wal()
+            self._check_compacted_log()
         elif kind == "view":
             _, name = op
             got = set(self.db.view(name).read().rows())
@@ -449,6 +453,25 @@ class _Harness:
             raise ValueError(
                 f"op {kind!r} needs a WAL harness (crash_points=True)"
             )
+
+    def _check_compacted_log(self) -> None:
+        """Compaction kept no record of a dead row the base does not hold."""
+        snapshot = self.db.wal.snapshot_path
+        base = set()
+        if snapshot.exists():
+            for spec in json.loads(snapshot.read_text())["tables"]:
+                base.update((spec["name"], tuple(v)) for v, _ in spec["rows"])
+        now = self.db.now
+        for record in self.db.wal.records():
+            if "row" not in record:
+                continue
+            key = (record["table"], tuple(record["row"]))
+            texp = self.db.table(key[0]).relation.expiration_or_none(key[1])
+            if key not in base and (texp is None or texp <= now):
+                raise CheckFailed(
+                    f"compaction kept a {record.kind} record of {key}, "
+                    f"dead and absent from the base snapshot"
+                )
 
     def _crash(self, mode: str) -> None:
         """Drop the in-memory database and recover from disk.

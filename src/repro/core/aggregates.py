@@ -274,9 +274,7 @@ def time_sliced_sets(
     by_time: Dict[Timestamp, List[PartitionItem]] = {}
     for item in partition:
         by_time.setdefault(item[1], []).append(item)
-    infinite = [t for t in by_time if t.is_infinite]
-    finite = sorted((t for t in by_time if t.is_finite), key=lambda t: t.value)
-    return [by_time[t] for t in finite + infinite]
+    return [by_time[t] for t in sorted(by_time)]
 
 
 def contributing_set(
@@ -340,16 +338,13 @@ def value_timeline(
     timeline: List[Tuple[Interval, Any]] = []
     cursor = tau
     current_value = function.apply(_values(alive))
-    boundaries = sorted(
-        {texp.value for _, texp in alive if texp.is_finite and texp > tau}
-    )
+    boundaries = sorted({texp for _, texp in alive if tau < texp < INFINITY})
     for boundary in boundaries:
-        boundary_ts = ts(boundary)
-        alive = [(value, texp) for value, texp in alive if boundary_ts < texp]
+        alive = [(value, texp) for value, texp in alive if boundary < texp]
         new_value = function.apply(_values(alive)) if alive else None
         if new_value != current_value or not alive:
-            timeline.append((Interval(cursor, boundary_ts), current_value))
-            cursor = boundary_ts
+            timeline.append((Interval(cursor, boundary), current_value))
+            cursor = boundary
             current_value = new_value
         if not alive:
             return timeline

@@ -82,17 +82,19 @@ from repro.core.algebra.predicates import (
     Predicate,
     TruePredicate,
 )
-from repro.core.columnar import (
-    ColumnBatch,
-    ColumnarRelation,
-    from_raw,
-    numpy_module,
-    to_raw,
-)
+from repro.core.columnar import ColumnBatch, ColumnarRelation, numpy_module
 from repro.core.intervals import IntervalSet
 from repro.core.relation import Relation
 from repro.core.schema import Schema
-from repro.core.timestamps import INFINITY, TimeLike, Timestamp, ts, ts_max, ts_min
+from repro.core.timestamps import (
+    INFINITY,
+    TimeLike,
+    Timestamp,
+    from_raw,
+    ts,
+    ts_max,
+    ts_min,
+)
 from repro.errors import CatalogError, EvaluationError
 
 __all__ = [
@@ -662,11 +664,11 @@ def _batch_to_members(batch: ColumnBatch) -> Dict[tuple, Timestamp]:
     return {row: from_raw(raw) for row, raw in merged_raw.items()}
 
 
-def _parallel_columnar_source(ctx: _Context, shards, tau_raw: int) -> ColumnBatch:
+def _parallel_columnar_source(ctx: _Context, shards, tau: int) -> ColumnBatch:
     """Per-shard whole-column exp-filter, fanned out on the pool.
 
     The columnar counterpart of :func:`_parallel_source`: each worker
-    runs its shard's raw ``texp > τ`` scan, and the disjoint shard batches
+    runs its shard's int64 ``texp > τ`` scan, and the disjoint shard batches
     concatenate into one merged batch (hash partitioning guarantees no
     cross-shard duplicates).
     """
@@ -674,7 +676,7 @@ def _parallel_columnar_source(ctx: _Context, shards, tau_raw: int) -> ColumnBatc
     def scan(indexed):
         index, shard = indexed
         started = time.perf_counter()
-        batch = shard.batch(tau_raw)
+        batch = shard.batch(tau)
         return index, batch, time.perf_counter() - started
 
     results = list(ctx.executor.map(scan, enumerate(shards)))
@@ -790,7 +792,7 @@ class _Compiler:
             if shards is not None and ctx.executor is not None and len(shards) > 1:
                 if isinstance(shards[0], ColumnarRelation):
                     started = time.perf_counter()
-                    batch = _parallel_columnar_source(ctx, shards, to_raw(tau))
+                    batch = _parallel_columnar_source(ctx, shards, tau)
                     return _columnar_stream(
                         ctx, "scan_filter", batch, INFINITY,
                         IntervalSet.from_onwards(tau), started, True,
@@ -806,7 +808,7 @@ class _Compiler:
                 # Whole-column expiration filter: one pass over the raw
                 # int64 texp array, no Timestamp objects on the hot path.
                 started = time.perf_counter()
-                batch = relation.batch(to_raw(tau))
+                batch = relation.batch(tau)
                 return _columnar_stream(
                     ctx, "scan_filter", batch, INFINITY,
                     IntervalSet.from_onwards(tau), started, True,
@@ -828,7 +830,7 @@ class _Compiler:
             tau = ctx.tau
             if isinstance(relation, ColumnarRelation):
                 started = time.perf_counter()
-                batch = relation.batch(to_raw(tau))
+                batch = relation.batch(tau)
                 return _columnar_stream(
                     ctx, "scan_filter", batch, INFINITY,
                     IntervalSet.from_onwards(tau), started, True,
@@ -987,7 +989,7 @@ class _Compiler:
             ctx.stats.tuples_scanned += len(relation)
             started = time.perf_counter()
             tau = ctx.tau
-            batch = relation.batch(to_raw(tau), keep=pruned)
+            batch = relation.batch(tau, keep=pruned)
             ctx.stats.note_columnar("scan_filter", len(batch))
             if mask_build is not None:
                 # The mask builder indexes columns by their original
@@ -1699,8 +1701,10 @@ class CompiledPlan:
                     columns = plain.columns
                     texp = plain.texp
                 else:
+                    # Slicing keeps the texp container's type: an int64
+                    # array copies with one memcpy instead of a re-encode.
                     columns = [list(col) for col in plain.columns]
-                    texp = list(plain.texp)
+                    texp = plain.texp[:]
                 relation = ColumnarRelation._from_columns(
                     self.schema,
                     columns,

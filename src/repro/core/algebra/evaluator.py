@@ -80,7 +80,7 @@ class EvalStats:
     describes one evaluation -- a snapshot by construction.  Cross-query
     aggregation lives in the metrics registry (``db.metrics``), which
     :meth:`repro.engine.database.Database.evaluate` flushes every bag
-    into; hand-merging bags is deprecated.
+    into.
     """
 
     tuples_scanned: int = 0
@@ -111,30 +111,6 @@ class EvalStats:
         from dataclasses import fields
 
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def merge(self, other: "EvalStats") -> None:
-        """Accumulate another stats bag into this one.
-
-        .. deprecated:: 1.1
-           Aggregation across evaluations belongs to the metrics registry
-           (``db.metrics``); ``Database.evaluate`` flushes every per-query
-           bag there.  This path will be removed one release after 1.1.
-        """
-        import warnings
-
-        warnings.warn(
-            "EvalStats.merge() is deprecated: cross-query aggregation is "
-            "registry-backed; read db.metrics instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.tuples_scanned += other.tuples_scanned
-        self.tuples_emitted += other.tuples_emitted
-        self.partitions_built += other.partitions_built
-        self.hash_probes += other.hash_probes
-        self.operators_evaluated += other.operators_evaluated
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
 
 
 @dataclass(frozen=True)

@@ -174,7 +174,6 @@ class PlanCache:
         cached: bool = True,
         partitioning=(),
         executor=None,
-        bypass_results: Optional[bool] = None,
     ) -> EvalResult:
         """Evaluate ``expression`` at ``tau``, serving from cache when sound.
 
@@ -184,8 +183,6 @@ class PlanCache:
         ``cached=False`` (``EXPLAIN ANALYZE``, differential testing)
         forces a real execution -- reusing the compiled plan but never a
         cached result, and without touching the hit/miss counters.
-        ``bypass_results=True`` is the deprecated spelling of
-        ``cached=False`` and keeps working as a shim.
 
         ``version`` is the engine's catalog (data) version; ``schema_version``
         gates reuse of the compiled plan itself.  ``floor`` (typically the
@@ -203,9 +200,7 @@ class PlanCache:
         ``executor``, when given, fans compiled per-shard pipelines out over
         the pool during execution.
         """
-        if bypass_results is not None:  # pre-1.6 shim for cached=False
-            cached = not bypass_results
-        bypass_results = not cached
+        bypass = not cached
         tau = ts(tau)
         eval_stats = stats if stats is not None else EvalStats()
         entry = self._entries.get(expression)
@@ -215,7 +210,7 @@ class PlanCache:
         ):
             entry = None  # DDL / repartitioning invalidated the plan itself
 
-        if entry is not None and not bypass_results:
+        if entry is not None and not bypass:
             cached = entry.result
             if (
                 cached is not None
@@ -240,7 +235,7 @@ class PlanCache:
                     tau=tau,
                 )
 
-        if not bypass_results:
+        if not bypass:
             self._misses.inc()
             eval_stats.cache_misses += 1
         if entry is None:

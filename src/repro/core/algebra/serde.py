@@ -48,7 +48,7 @@ from repro.core.algebra.predicates import (
 )
 from repro.core.relation import Relation
 from repro.core.schema import Schema
-from repro.core.timestamps import ts
+from repro.core.timestamps import decode_exp, encode_exp
 from repro.errors import AlgebraError
 
 __all__ = [
@@ -120,10 +120,6 @@ def predicate_from_dict(data: Dict[str, Any]) -> Predicate:
 # -- expressions ------------------------------------------------------------------
 
 
-def _texp_to_json(texp) -> Any:
-    return None if texp.is_infinite else texp.value
-
-
 def expression_to_dict(expression: Expression) -> Dict[str, Any]:
     """Serialise an expression tree (Literal relations included inline)."""
     if isinstance(expression, BaseRef):
@@ -134,7 +130,7 @@ def expression_to_dict(expression: Expression) -> Dict[str, Any]:
             "kind": "literal",
             "schema": list(relation.schema.names),
             "rows": [
-                [list(row), _texp_to_json(texp)] for row, texp in relation.items()
+                [list(row), encode_exp(texp)] for row, texp in relation.items()
             ],
         }
     if isinstance(expression, Select):
@@ -202,7 +198,7 @@ def expression_from_dict(data: Dict[str, Any]) -> Expression:
     if kind == "literal":
         relation = Relation(Schema(data["schema"]))
         for values, texp in data["rows"]:
-            relation.insert(tuple(values), expires_at=ts(texp))
+            relation.insert(tuple(values), expires_at=decode_exp(texp))
         return Literal(relation)
     if kind == "select":
         return Select(

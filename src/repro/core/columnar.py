@@ -3,12 +3,12 @@
 The row engine stores a relation as ``Dict[Row, Timestamp]`` -- ideal for
 point lookups and max-merge inserts, but every whole-relation operation
 (the paper's ``exp_τ`` restriction above all) then pays per-row Python
-object traffic: tuple hashing, ``Timestamp`` rich comparisons, generator
-frames.  :class:`ColumnarRelation` keeps the same *logical* content as
-parallel per-attribute arrays plus a raw ``int64`` expiration array::
+object traffic: tuple hashing, per-pair unpacking, generator frames.
+:class:`ColumnarRelation` keeps the same *logical* content as parallel
+per-attribute arrays plus an ``int64`` expiration array::
 
     _cols  = [[uid...], [deg...]]      # one Python list per attribute
-    _texp  = array('q', [10, 15, ...]) # raw ticks; RAW_INFINITY encodes ∞
+    _texp  = array('q', [10, 15, ...]) # the stamps' ints; ∞ is 2^63-1
 
 so ``exp_τ(R)`` becomes a single-pass compare of a machine-int column
 against a scalar, and the compiled evaluator's batch kernels
@@ -47,9 +47,9 @@ from typing import (
 
 from repro.core.relation import Relation
 from repro.core.schema import Schema, anonymous_schema
-from repro.core.timestamps import INFINITY, TimeLike, Timestamp, ts
+from repro.core.timestamps import INFINITY, TimeLike, Timestamp, from_raw, ts
 from repro.core.tuples import ExpiringTuple, Row, make_row
-from repro.errors import RelationError, TimeError
+from repro.errors import RelationError
 
 try:  # pragma: no cover - exercised via the numpy CI job
     import numpy as _np
@@ -57,30 +57,14 @@ except Exception:  # pragma: no cover - numpy genuinely absent
     _np = None
 
 __all__ = [
-    "RAW_INFINITY",
     "ColumnBatch",
     "ColumnarRelation",
-    "from_raw",
     "numpy_available",
     "resolve_backend",
-    "to_raw",
 ]
-
-#: Raw encoding of the infinite timestamp.  Finite ticks are non-negative
-#: and must stay strictly below this sentinel so that ``raw > tau`` keeps
-#: the total order of the time domain; ``int64`` max leaves every
-#: realistic tick representable while fitting ``array('q')`` and numpy's
-#: native integer dtype.
-RAW_INFINITY = (1 << 63) - 1
 
 _ENV_FLAG = "REPRO_NUMPY"
 _TRUTHY = frozenset({"1", "true", "yes", "on"})
-
-#: Interned finite timestamps, so batch-to-pair fallbacks do not allocate
-#: a fresh Timestamp per row for the (few, repeated) tick values of a
-#: workload.  Bounded to keep pathological tick ranges from leaking.
-_TS_CACHE: Dict[int, Timestamp] = {}
-_TS_CACHE_LIMIT = 1 << 16
 
 
 def numpy_available() -> bool:
@@ -123,36 +107,12 @@ def resolve_backend(name: Optional[str] = None) -> str:
     )
 
 
-def to_raw(stamp: Timestamp) -> int:
-    """Encode a :class:`Timestamp` as a raw machine int."""
-    value = stamp._value
-    if value is None:
-        return RAW_INFINITY
-    if value >= RAW_INFINITY:
-        raise TimeError(
-            f"finite timestamp {value} too large for columnar storage"
-        )
-    return value
-
-
-def from_raw(raw: int) -> Timestamp:
-    """Decode a raw machine int back into an (interned) :class:`Timestamp`."""
-    if raw == RAW_INFINITY:
-        return INFINITY
-    cached = _TS_CACHE.get(raw)
-    if cached is None:
-        cached = Timestamp(raw)
-        if len(_TS_CACHE) < _TS_CACHE_LIMIT:
-            _TS_CACHE[raw] = cached
-    return cached
-
-
 class ColumnBatch:
     """A column-sliced payload flowing between compiled batch kernels.
 
     ``columns[i]`` holds attribute ``i`` for every surviving row and
-    ``texp`` the matching raw expiration ticks; all sequences share one
-    length.  Columns are *read-only by convention*: kernels that reshape
+    ``texp`` the matching expiration ticks (plain ints); all sequences
+    share one length.  Columns are *read-only by convention*: kernels that reshape
     data always build fresh lists (or arrays), so a batch may alias a
     relation's live storage with zero copies.  ``owned=True`` marks a
     batch whose column/texp sequences were freshly built by a kernel and
@@ -245,14 +205,14 @@ class ColumnarRelation(Relation):
         cls,
         schema: Schema,
         columns: Sequence[Sequence[Any]],
-        texp_raw: Iterable[int],
+        texp: Iterable[int],
         backend: str = "python",
     ) -> "ColumnarRelation":
         """Adopt already-deduplicated column data (trusted fast path).
 
         The columnar analogue of :meth:`Relation._from_trusted`: rows at
         the same index across ``columns`` must be distinct hashable
-        tuples and ``texp_raw`` raw-encoded ticks.  Lists are adopted,
+        tuples and ``texp`` their expiration ticks.  Lists are adopted,
         not copied.
         """
         relation = cls.__new__(cls)
@@ -262,7 +222,7 @@ class ColumnarRelation(Relation):
             col if type(col) is list else list(col) for col in columns
         ]
         relation._texp = (
-            texp_raw if type(texp_raw) is array else array("q", texp_raw)
+            texp if type(texp) is array else array("q", texp)
         )
         relation._rowmap = None
         relation._version = 0
@@ -280,7 +240,7 @@ class ColumnarRelation(Relation):
         for row, stamp in source.items():
             for i in range(arity):
                 cols[i].append(row[i])
-            texp.append(to_raw(stamp))
+            texp.append(stamp)
         return cls._from_columns(
             source.schema, cols, texp, resolve_backend(backend)
         )
@@ -336,13 +296,13 @@ class ColumnarRelation(Relation):
 
     def batch(
         self,
-        tau_raw: Optional[int] = None,
+        tau: Optional[int] = None,
         keep: Optional[Sequence[int]] = None,
     ) -> ColumnBatch:
         """The relation's content as a :class:`ColumnBatch`.
 
-        With ``tau_raw`` the batch is exp-filtered (``texp > τ``) in one
-        pass over the raw array -- the whole-column form of ``exp_τ``.
+        With ``tau`` the batch is exp-filtered (``texp > τ``) in one
+        pass over the int64 array -- the whole-column form of ``exp_τ``.
         Without a filter the live storage is aliased zero-copy.  ``keep``
         prunes the scan to the given column indexes (in ``keep`` order):
         columns no downstream kernel touches are never materialised.
@@ -352,21 +312,21 @@ class ColumnarRelation(Relation):
             np_cols, np_texp = self.np_arrays()
             if keep is not None:
                 np_cols = [np_cols[i] for i in keep]
-            if tau_raw is None:
+            if tau is None:
                 return ColumnBatch(np_cols, np_texp)
-            mask = np_texp > tau_raw
+            mask = np_texp > tau
             if bool(mask.all()):
                 return ColumnBatch(np_cols, np_texp)
             return ColumnBatch(
                 [col[mask] for col in np_cols], np_texp[mask], owned=True
             )
         cols = self._cols if keep is None else [self._cols[i] for i in keep]
-        if tau_raw is None:
+        if tau is None:
             return ColumnBatch(cols, texp)
         # Flag-and-compress beats an index-list gather: the survivors are
         # copied out by itertools.compress at C speed instead of one
         # ``col[i]`` subscript per (row, attribute).
-        flags = [raw > tau_raw for raw in texp]
+        flags = [raw > tau for raw in texp]
         if all(flags):
             return ColumnBatch(cols, texp)
         compress = _compress
@@ -387,15 +347,14 @@ class ColumnarRelation(Relation):
         texp = self._texp
         count = 0
         for row, stamp in pairs:
-            raw = to_raw(stamp)
             pos = rowmap.get(row)
             if pos is None:
                 rowmap[row] = len(texp)
                 for i, col in enumerate(cols):
                     col.append(row[i])
-                texp.append(raw)
-            elif texp[pos] < raw:
-                texp[pos] = raw
+                texp.append(stamp)
+            elif texp[pos] < stamp:
+                texp[pos] = stamp
             count += 1
         self._touch()
         return count
@@ -420,9 +379,9 @@ class ColumnarRelation(Relation):
                 rowmap[row] = len(texp)
                 for i, col in enumerate(cols):
                     col.append(row[i])
-                texp.append(to_raw(stamp))
+                texp.append(stamp)
             else:
-                texp[pos] = to_raw(stamp)
+                texp[pos] = stamp
         self._touch()
 
     def insert(
@@ -430,7 +389,7 @@ class ColumnarRelation(Relation):
     ) -> ExpiringTuple:
         row = make_row(values)
         self._check_arity(row)
-        raw = to_raw(ts(expires_at))
+        stamp = ts(expires_at)
         rowmap = self._ensure_rowmap()
         texp = self._texp
         pos = rowmap.get(row)
@@ -438,20 +397,20 @@ class ColumnarRelation(Relation):
             rowmap[row] = len(texp)
             for i, col in enumerate(self._cols):
                 col.append(row[i])
-            texp.append(raw)
-        elif texp[pos] < raw:
-            texp[pos] = raw
+            texp.append(stamp)
+        elif texp[pos] < stamp:
+            texp[pos] = stamp
         else:
-            raw = texp[pos]
+            stamp = from_raw(texp[pos])
         self._touch()
-        return ExpiringTuple(row, from_raw(raw))
+        return ExpiringTuple(row, stamp)
 
     def override(
         self, values: Iterable[Any], expires_at: TimeLike
     ) -> ExpiringTuple:
         row = make_row(values)
         self._check_arity(row)
-        raw = to_raw(ts(expires_at))
+        stamp = ts(expires_at)
         rowmap = self._ensure_rowmap()
         texp = self._texp
         pos = rowmap.get(row)
@@ -459,11 +418,11 @@ class ColumnarRelation(Relation):
             rowmap[row] = len(texp)
             for i, col in enumerate(self._cols):
                 col.append(row[i])
-            texp.append(raw)
+            texp.append(stamp)
         else:
-            texp[pos] = raw
+            texp[pos] = stamp
         self._touch()
-        return ExpiringTuple(row, from_raw(raw))
+        return ExpiringTuple(row, stamp)
 
     def _swap_remove(self, rowmap: Dict[Row, int], pos: int, row: Row) -> None:
         """Fill the hole at ``pos`` with the last row; arrays stay dense."""
@@ -492,9 +451,9 @@ class ColumnarRelation(Relation):
         return True
 
     def purge_expired(self, tau: TimeLike) -> int:
-        raw = to_raw(ts(tau))
+        tau = ts(tau)
         texp = self._texp
-        flags = [t > raw for t in texp]
+        flags = [t > tau for t in texp]
         purged = len(texp) - sum(flags)
         if purged:
             compress = _compress
@@ -518,18 +477,17 @@ class ColumnarRelation(Relation):
         removed when its *stored* expiration is ``<= now`` -- entries whose
         lifetime was max-merge-renewed after scheduling are skipped, exactly
         like the row engine's ``expiration_or_none`` + ``delete`` loop, but
-        compared as raw ticks straight off the texp array.  Returns
+        compared as ints straight off the texp array.  Returns
         ``(processed, expired)`` where ``expired`` echoes the due entries
         actually removed (for ON-EXPIRE triggers) when ``collect`` is set.
         """
-        now_raw = to_raw(now)
         rowmap = self._ensure_rowmap()
         texp = self._texp
         expired: List[Tuple[Row, Any]] = []
         processed = 0
         for row, scheduled in due:
             pos = rowmap.get(row)
-            if pos is None or texp[pos] > now_raw:
+            if pos is None or texp[pos] > now:
                 continue
             self._swap_remove(rowmap, pos, row)
             processed += 1
@@ -542,13 +500,13 @@ class ColumnarRelation(Relation):
     # -- the model's primitives ----------------------------------------------
 
     def exp_at(self, tau: TimeLike) -> "ColumnarRelation":
-        raw = to_raw(ts(tau))
+        tau = ts(tau)
         texp = self._texp
         if self.backend == "numpy" and _np is not None and len(texp):
             _, np_texp = self.np_arrays()
-            flags = (np_texp > raw).tolist()
+            flags = (np_texp > tau).tolist()
         else:
-            flags = [t > raw for t in texp]
+            flags = [t > tau for t in texp]
         if all(flags):
             return self.copy()
         compress = _compress

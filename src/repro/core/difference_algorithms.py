@@ -65,7 +65,7 @@ def hash_difference(left: Relation, right: Relation, tau: TimeLike = 0) -> Diffe
             result.insert(row, expires_at=left_texp)
         elif right_texp < left_texp:
             patches.append(Patch(row, right_texp, left_texp))
-    patches.sort(key=lambda patch: (patch.due.value, patch.row))
+    patches.sort(key=lambda patch: (patch.due, patch.row))
     return result, patches
 
 
@@ -93,7 +93,7 @@ def sort_merge_difference(
                 patches.append(Patch(row, right_texp, left_texp))
         else:
             result.insert(row, expires_at=left_texp)
-    patches.sort(key=lambda patch: (patch.due.value, patch.row))
+    patches.sort(key=lambda patch: (patch.due, patch.row))
     return result, patches
 
 
@@ -116,7 +116,7 @@ def nested_loop_difference(
             result.insert(row, expires_at=left_texp)
         elif right_texp < left_texp:
             patches.append(Patch(row, right_texp, left_texp))
-    patches.sort(key=lambda patch: (patch.due.value, patch.row))
+    patches.sort(key=lambda patch: (patch.due, patch.row))
     return result, patches
 
 

@@ -60,7 +60,7 @@ class DifferencePatcher:
     """
 
     def __init__(self, patches: Optional[List[Patch]] = None, limit: Optional[int] = None) -> None:
-        self._heap: List[Tuple[int, int, Patch]] = []
+        self._heap: List[Tuple[Timestamp, int, Patch]] = []
         # Bounded mode only: a max-heap over the same entries (keyed on
         # -due) plus a lazy-deletion set, so shedding the latest-due patch
         # is O(log n) instead of the O(n) remove + heapify of a single heap.
@@ -84,11 +84,11 @@ class DifferencePatcher:
         if patch.due.is_infinite:
             return  # its S match never expires; the row never re-appears
         seq = next(self._counter)
-        heapq.heappush(self._heap, (patch.due.value, seq, patch))
+        heapq.heappush(self._heap, (patch.due, seq, patch))
         self._size += 1
         if self._limit is None:
             return
-        heapq.heappush(self._max_heap, (-patch.due.value, -seq, seq, patch))
+        heapq.heappush(self._max_heap, (-patch.due, -seq, seq, patch))
         if self._size > self._limit:
             dead = self._dead
             while True:

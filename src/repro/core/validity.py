@@ -169,7 +169,7 @@ def validity_oracle(
         stamp = ts(extra)
         if stamp.is_finite and not stamp < start:
             checkpoints.append(stamp)
-    checkpoints = sorted(set(checkpoints + [start]), key=lambda t: t.value)
+    checkpoints = sorted(set(checkpoints + [start]))
 
     valid_from: Optional[Timestamp] = None
     pairs: List[Tuple[Timestamp, Timestamp]] = []

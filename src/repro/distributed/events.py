@@ -27,7 +27,7 @@ class EventQueue:
     """A deterministic time-ordered event queue."""
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[int, int, Action]] = []
+        self._heap: List[Tuple[Timestamp, int, Action]] = []
         self._sequence = itertools.count()
         self._now = ts(0)
 
@@ -43,7 +43,7 @@ class EventQueue:
             return  # an event at infinity never fires
         if stamp < self._now:
             raise SimulationError(f"cannot schedule in the past: {stamp} < {self._now}")
-        heapq.heappush(self._heap, (stamp.value, next(self._sequence), action))
+        heapq.heappush(self._heap, (stamp, next(self._sequence), action))
 
     def schedule_in(self, delay: int, action: Action) -> None:
         """Schedule ``action`` after ``delay`` ticks from now."""
@@ -53,15 +53,14 @@ class EventQueue:
         """When the next event fires, or ``None`` if the queue is empty."""
         if not self._heap:
             return None
-        return ts(self._heap[0][0])
+        return self._heap[0][0]
 
     def run_until(self, horizon: TimeLike) -> int:
         """Execute events with ``time <= horizon``; returns the count."""
         stamp = ts(horizon)
         executed = 0
-        while self._heap and ts(self._heap[0][0]) <= stamp:
-            value, _, action = heapq.heappop(self._heap)
-            self._now = ts(value)
+        while self._heap and self._heap[0][0] <= stamp:
+            self._now, _, action = heapq.heappop(self._heap)
             action(self._now)
             executed += 1
         if self._now < stamp and stamp.is_finite:
@@ -72,8 +71,7 @@ class EventQueue:
         """Drain the queue completely (bounded by ``safety_limit`` events)."""
         executed = 0
         while self._heap:
-            value, _, action = heapq.heappop(self._heap)
-            self._now = ts(value)
+            self._now, _, action = heapq.heappop(self._heap)
             action(self._now)
             executed += 1
             if executed > safety_limit:

@@ -94,10 +94,7 @@ def _mirror_link(link: Link, seed_shift: int = 7919) -> Link:
     Partitions are shared (a flap usually severs both directions); the
     RNG is independently seeded so loss/jitter draws do not correlate.
     """
-    partitions = [
-        (iv.start.value, iv.end.value if iv.end.is_finite else None)
-        for iv in link.down_times
-    ]
+    partitions = [(iv.start, iv.end) for iv in link.down_times]
     return Link(
         latency=link.latency,
         jitter=link.jitter,

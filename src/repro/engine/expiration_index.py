@@ -51,15 +51,15 @@ class ExpirationIndex:
     entry becomes a tombstone); :meth:`remove` tombstones without touching
     the heap.  ``len(index)`` counts *live* entries.
 
-    Internally both the heap and the live table hold raw integer tick
-    values (infinite expirations are never indexed), so the hot inspection
-    loops compare plain ints; :class:`Timestamp` objects are materialised
-    only at the API boundary.
+    Both the heap and the live table hold the scheduled
+    :class:`Timestamp` itself (infinite expirations are never indexed);
+    being ints, stamps compare at ``int`` speed in the inspection loops
+    and come back out of :meth:`pop_due` unchanged.
     """
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[int, int, Row]] = []
-        self._live: Dict[Row, int] = {}
+        self._heap: List[Tuple[Timestamp, int, Row]] = []
+        self._live: Dict[Row, Timestamp] = {}
         self._counter = itertools.count()
 
     def __len__(self) -> int:
@@ -77,8 +77,8 @@ class ExpirationIndex:
             # Never expires; make sure any earlier finite schedule is void.
             self._live.pop(row, None)
             return
-        self._live[row] = stamp.value
-        heapq.heappush(self._heap, (stamp.value, next(self._counter), row))
+        self._live[row] = stamp
+        heapq.heappush(self._heap, (stamp, next(self._counter), row))
 
     def bulk_schedule(self, entries: Iterable[Tuple[Row, TimeLike]]) -> None:
         """Index many rows at once: append everything, heapify once.
@@ -97,8 +97,8 @@ class ExpirationIndex:
             if stamp.is_infinite:
                 live.pop(row, None)
                 continue
-            live[row] = stamp.value
-            heap.append((stamp.value, next(counter), row))
+            live[row] = stamp
+            heap.append((stamp, next(counter), row))
         heapq.heapify(heap)
 
     def remove(self, row: Row) -> None:
@@ -114,29 +114,20 @@ class ExpirationIndex:
         self._drop_stale_head()
         if not self._heap:
             return None
-        return ts(self._heap[0][0])
+        return self._heap[0][0]
 
     def pop_due(self, now: TimeLike) -> List[Tuple[Row, Timestamp]]:
         """Extract every live entry with ``expiration <= now``, in order."""
-        stamp = ts(now)
-        limit = stamp.value if stamp.is_finite else None
-        return [(row, ts(value)) for row, value in self.pop_due_raw(limit)]
-
-    def pop_due_raw(self, limit: Optional[int]) -> List[Tuple[Row, int]]:
-        """:meth:`pop_due` on raw integer ticks (``None`` = no bound).
-
-        The bulk-sweep fast path: no :class:`Timestamp` is materialised per
-        entry, so partition sweep kernels compare and carry plain ints.
-        """
+        limit = ts(now)
         live = self._live
         heap = self._heap
-        due: List[Tuple[Row, int]] = []
+        due: List[Tuple[Row, Timestamp]] = []
         while heap:
             value, _, row = heap[0]
             if live.get(row) != value:
                 heapq.heappop(heap)  # tombstone
                 continue
-            if limit is not None and value > limit:
+            if value > limit:
                 break
             heapq.heappop(heap)
             del live[row]
@@ -154,7 +145,7 @@ class ExpirationIndex:
 
     def pending(self) -> Iterator[Tuple[Row, Timestamp]]:
         """Iterate over live ``(row, expiration)`` entries (unordered)."""
-        return ((row, ts(value)) for row, value in self._live.items())
+        return iter(self._live.items())
 
     def clear(self) -> None:
         """Drop every entry (live and tombstoned)."""

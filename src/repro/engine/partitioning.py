@@ -293,16 +293,9 @@ class ShardedExpirationIndex(ExpirationIndex):
 
     def pop_due(self, now: TimeLike) -> List[Tuple[Row, Timestamp]]:
         stamp = ts(now)
-        limit = stamp.value if stamp.is_finite else None
         due: List[Tuple[Row, Timestamp]] = []
         for shard in self.shards:
-            due.extend((row, ts(value)) for row, value in shard.pop_due_raw(limit))
-        return due
-
-    def pop_due_raw(self, limit: Optional[int]) -> List[Tuple[Row, int]]:
-        due: List[Tuple[Row, int]] = []
-        for shard in self.shards:
-            due.extend(shard.pop_due_raw(limit))
+            due.extend(shard.pop_due(stamp))
         return due
 
     def pending(self) -> Iterator[Tuple[Row, Timestamp]]:
@@ -384,8 +377,8 @@ class PartitionedTable(Table):
             schema, key_index, partitions, relation_factory=relation_factory
         )
         self._index = ShardedExpirationIndex(key_index, partitions, index_factory)
-        # Per-shard due buffers (raw ints), replacing the flat _due_buffer.
-        self._due_buffers: List[List[Tuple[Row, int]]] = [
+        # Per-shard due buffers, replacing the flat _due_buffer.
+        self._due_buffers: List[List[Tuple[Row, Timestamp]]] = [
             [] for _ in range(partitions)
         ]
         self._shard_sweep_seconds, self._shard_tuples_expired = (
@@ -398,11 +391,10 @@ class PartitionedTable(Table):
         if self.removal_policy is RemovalPolicy.EAGER:
             self.process_expirations(new)
             return
-        limit = new.value if new.is_finite else None
         pending = 0
         for i, shard_index in enumerate(self._index.shards):
             buffer = self._due_buffers[i]
-            buffer.extend(shard_index.pop_due_raw(limit))
+            buffer.extend(shard_index.pop_due(new))
             pending += len(buffer)
         if pending >= self.lazy_batch_size:
             self.vacuum(new)
@@ -410,12 +402,11 @@ class PartitionedTable(Table):
     def process_expirations(self, now: Optional[TimeLike] = None) -> int:
         stamp = self.clock.now if now is None else ts(now)
         started = time.perf_counter()
-        limit = stamp.value if stamp.is_finite else None
-        jobs: List[Tuple[int, List[Tuple[Row, int]]]] = []
+        jobs: List[Tuple[int, List[Tuple[Row, Timestamp]]]] = []
         for i, shard_index in enumerate(self._index.shards):
             due = self._due_buffers[i]
             self._due_buffers[i] = []
-            due.extend(shard_index.pop_due_raw(limit))
+            due.extend(shard_index.pop_due(stamp))
             if due:
                 jobs.append((i, due))
         if not jobs:
@@ -428,12 +419,12 @@ class PartitionedTable(Table):
         logging = self.database is not None and self.database.wal is not None
         collect_triggers = logging or len(self.triggers) > 0
 
-        def sweep(job: Tuple[int, List[Tuple[Row, int]]]):
+        def sweep(job: Tuple[int, List[Tuple[Row, Timestamp]]]):
             shard_id, shard_due = job
             shard_started = time.perf_counter()
             # The relation's bulk sweep skips renewed entries (stored
             # expiration moved past ``stamp``) and, for columnar shards,
-            # compares raw ticks straight off the texp array.
+            # compares ticks straight off the texp array.
             processed, expired = self.relation.shards[shard_id]._sweep_due(
                 shard_due, stamp, collect_triggers
             )
@@ -456,11 +447,11 @@ class PartitionedTable(Table):
             total += processed
             # Triggers and WAL appends run here, in the calling thread,
             # never in workers.
-            for row, value in expired:
-                fired += self.triggers.fire(ExpiringTuple(row, ts(value)), stamp)
+            for row, texp in expired:
+                fired += self.triggers.fire(ExpiringTuple(row, texp), stamp)
             if logging:
-                for row, value in expired:
-                    self._wal_physical("remove", row, None, ts(value))
+                for row, texp in expired:
+                    self._wal_physical("remove", row, None, texp)
         # Statistics are written once per sweep, not once per tuple.
         if total:
             self.statistics.expirations_processed += total

@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from repro.core.algebra.serde import expression_from_dict, expression_to_dict
-from repro.core.timestamps import ts
+from repro.core.timestamps import decode_exp, encode_exp
 from repro.engine.database import Database
 from repro.engine.expiration_index import ExpirationIndex, RemovalPolicy
 from repro.engine.table import Table
@@ -124,9 +124,7 @@ def table_spec(table: Table, include_rows: bool = True) -> Dict[str, Any]:
                         f"cannot snapshot non-JSON value {value!r} in "
                         f"table {table.name!r}"
                     )
-            rows.append(
-                [list(row), None if texp.is_infinite else texp.value]
-            )
+            rows.append([list(row), encode_exp(texp)])
         spec["rows"] = rows
     return spec
 
@@ -179,7 +177,7 @@ def restore_table(db: Database, spec: Dict[str, Any]) -> Table:
         default_ttl=spec.get("default_ttl"),
     )
     pairs = [
-        (tuple(values), ts(texp)) for values, texp in spec.get("rows", ())
+        (tuple(values), decode_exp(texp)) for values, texp in spec.get("rows", ())
     ]
     if pairs:
         table.relation.bulk_load(pairs)

@@ -46,13 +46,12 @@ import warnings
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from repro.core.timestamps import decode_exp
 from repro.engine.database import Database
 from repro.engine.wal import (
     WalRecord,
     WriteAheadLog,
     declare_wal_families,
-    decode_exp,
-    decode_prev,
 )
 from repro.errors import RecoveryError
 from repro.obs.registry import MetricsRegistry
@@ -158,7 +157,7 @@ def _replay_physical(
         batch.add(record["table"], row, None)
         return False
     texp = decode_exp(record["texp"])
-    if texp.is_finite and texp.value <= final_time:
+    if texp <= final_time:
         # Already past its expiration at recovery time: never apply it.
         # Erase instead of ignore -- an older incarnation of the row may
         # survive from the snapshot and must not outlive this state.
@@ -180,7 +179,8 @@ def _rollback_open_transactions(
                 continue
             table = db.table(record["table"])
             row = tuple(record["row"])
-            previous = decode_prev(record["prev"])
+            prev = record["prev"]
+            previous = None if prev == "absent" else decode_exp(prev)
             if record.kind == "upsert":
                 table.undo_insert(row, previous)
             else:

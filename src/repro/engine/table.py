@@ -25,13 +25,12 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional
 from repro.core.columnar import ColumnarRelation, resolve_backend
 from repro.core.relation import Relation
 from repro.core.schema import Schema
-from repro.core.timestamps import INFINITY, TimeLike, Timestamp, ts
+from repro.core.timestamps import INFINITY, TimeLike, Timestamp, encode_exp, ts
 from repro.core.tuples import ExpiringTuple, Row, make_row
 from repro.engine.clock import LogicalClock
 from repro.engine.expiration_index import ExpirationIndex, RemovalPolicy
 from repro.engine.statistics import EngineStatistics
 from repro.engine.triggers import TriggerManager
-from repro.engine.wal import encode_exp, encode_prev
 from repro.errors import EngineError, RelationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import cycle guard
@@ -188,7 +187,7 @@ class Table:
             stamp = self.clock.now + ttl
         else:
             stamp = ts(expires_at)
-        if stamp.is_finite and stamp <= self.clock.now:
+        if stamp <= self.clock.now:
             raise RelationError(
                 f"cannot insert an already-expired tuple: {stamp} <= now {self.clock.now}"
             )
@@ -319,7 +318,7 @@ class Table:
             stamp = self.clock.now + ttl
         else:
             stamp = ts(expires_at)
-        if stamp.is_finite and stamp < self.clock.now:
+        if stamp < self.clock.now:
             raise RelationError(
                 f"cannot override into the past: {stamp} < now "
                 f"{self.clock.now} (use expires_at=now to revoke immediately)"
@@ -437,8 +436,8 @@ class Table:
         self._due_buffer = []
         # The relation's bulk sweep skips entries renewed (re-inserted with
         # a later expiration) between coming due and being processed -- a
-        # renewed tuple never expired.  Columnar relations compare raw
-        # ticks straight off the texp array.
+        # renewed tuple never expired.  Columnar relations compare ticks
+        # straight off the texp array.
         logging = self.database is not None and self.database.wal is not None
         collect = logging or len(self.triggers) > 0
         processed, expired = self.relation._sweep_due(due, stamp, collect)
@@ -491,7 +490,7 @@ class Table:
         fields = {
             "table": self.name,
             "row": list(row),
-            "prev": encode_prev(previous),
+            "prev": "absent" if previous is None else encode_exp(previous),
         }
         if kind == "upsert":
             fields["texp"] = encode_exp(texp)

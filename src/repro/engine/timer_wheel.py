@@ -10,8 +10,8 @@ cascading for times beyond the wheel's horizon.
 
 :class:`TimerWheelIndex` is interface-compatible with
 :class:`~repro.engine.expiration_index.ExpirationIndex`, including the
-raw-integer bulk path :meth:`pop_due_raw` that the partitioned sweep
-kernels in :mod:`repro.engine.partitioning` drain:
+:meth:`pop_due` that the partitioned sweep kernels in
+:mod:`repro.engine.partitioning` drain:
 
 * near-future expirations (within ``wheel_size`` ticks of the processed
   cursor) go into their slot -- O(1);
@@ -45,27 +45,29 @@ __all__ = ["TimerWheelIndex"]
 class TimerWheelIndex:
     """A single-level timer wheel with a heap-backed overflow.
 
-    Internally the live map and slots hold raw integer tick values (like
-    the heap index), so bulk sweeps and the cached-minimum maintenance
-    compare plain ints; :class:`Timestamp` objects are materialised only
-    at the API boundary.
+    The live map, slots and overflow hold the scheduled
+    :class:`Timestamp` itself (like the heap index), so bulk sweeps and
+    the cached-minimum maintenance compare ints and hand the stamps back
+    unchanged.
     """
 
     def __init__(self, wheel_size: int = 256) -> None:
         if wheel_size < 2:
             raise EngineError(f"wheel size must be at least 2, got {wheel_size}")
         self._size = wheel_size
-        self._slots: List[Dict[Row, int]] = [dict() for _ in range(wheel_size)]
-        self._live: Dict[Row, int] = {}
+        self._slots: List[Dict[Row, Timestamp]] = [
+            dict() for _ in range(wheel_size)
+        ]
+        self._live: Dict[Row, Timestamp] = {}
         #: Expirations at or below this tick have been popped already.
         self._cursor = 0
-        self._overflow: List[Tuple[int, int, Row]] = []
+        self._overflow: List[Tuple[Timestamp, int, Row]] = []
         self._counter = itertools.count()
         # Cached minimum live tick.  ``_min_dirty`` marks it unknown (the
         # entry that held the minimum was removed or popped); recomputation
         # is deferred to the next next_expiration() call so removal stays
         # O(1).
-        self._min_value: Optional[int] = None
+        self._min_value: Optional[Timestamp] = None
         self._min_dirty = False
 
     def __len__(self) -> int:
@@ -80,13 +82,12 @@ class TimerWheelIndex:
 
     def schedule(self, row: Row, expires_at: TimeLike) -> None:
         """Index ``row`` to expire at ``expires_at`` (``∞`` = never)."""
-        stamp = ts(expires_at)
+        tick = ts(expires_at)
         old = self._live.pop(row, None)
-        if stamp.is_infinite:
+        if tick.is_infinite:
             if old is not None and not self._min_dirty and old == self._min_value:
                 self._min_dirty = True
             return
-        tick = stamp.value
         self._live[row] = tick
         if not self._min_dirty:
             if old is not None and old == self._min_value and tick > old:
@@ -116,13 +117,13 @@ class TimerWheelIndex:
         if self._min_dirty:
             self._min_value = self._recompute_min()
             self._min_dirty = False
-        return None if self._min_value is None else ts(self._min_value)
+        return self._min_value
 
-    def _recompute_min(self) -> Optional[int]:
+    def _recompute_min(self) -> Optional[Timestamp]:
         if not self._live:
             return None
         live = self._live
-        best: Optional[int] = None
+        best: Optional[Timestamp] = None
         for slot in self._slots:
             for row, tick in slot.items():
                 if live.get(row) == tick and (best is None or tick < best):
@@ -138,25 +139,15 @@ class TimerWheelIndex:
 
     def pending(self) -> Iterator[Tuple[Row, Timestamp]]:
         """Live ``(row, expiration)`` entries (unordered)."""
-        return ((row, ts(tick)) for row, tick in self._live.items())
+        return iter(self._live.items())
 
     # -- expiry processing ------------------------------------------------------------
 
     def pop_due(self, now: TimeLike) -> List[Tuple[Row, Timestamp]]:
         """Extract every live entry with ``expiration <= now``, in order."""
         stamp = ts(now)
-        limit = stamp.value if stamp.is_finite else None
-        return [(row, ts(tick)) for row, tick in self.pop_due_raw(limit)]
-
-    def pop_due_raw(self, limit: Optional[int]) -> List[Tuple[Row, int]]:
-        """:meth:`pop_due` on raw integer ticks (``None`` = no bound).
-
-        The bulk-sweep fast path shared with the heap index: partition
-        sweep kernels compare and carry plain ints, with no
-        :class:`Timestamp` materialised per entry.
-        """
         live = self._live
-        if limit is None:
+        if stamp.is_infinite:
             # Unbounded: everything is due; drop all structure at once.
             due = sorted(live.items(), key=lambda item: item[1])
             live.clear()
@@ -166,7 +157,8 @@ class TimerWheelIndex:
             self._min_value = None
             self._min_dirty = False
             return due
-        due: List[Tuple[Row, int]] = []
+        limit = int(stamp)  # the cursor stays a plain int
+        due: List[Tuple[Row, Timestamp]] = []
         # 1. Overflow entries that came due go straight out (never back
         #    into slots the cursor has already passed).
         while self._overflow and self._overflow[0][0] <= limit:

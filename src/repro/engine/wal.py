@@ -85,7 +85,6 @@ import zlib
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, Union
 
-from repro.core.timestamps import Timestamp, ts
 from repro.errors import WalError
 
 __all__ = [
@@ -93,10 +92,6 @@ __all__ = [
     "WalRecord",
     "WriteAheadLog",
     "declare_wal_families",
-    "decode_exp",
-    "decode_prev",
-    "encode_exp",
-    "encode_prev",
     "scan_log",
 ]
 
@@ -177,26 +172,12 @@ class WalRecord(dict):
         return self["kind"]
 
 
-def encode_exp(stamp: Timestamp) -> Optional[int]:
-    """JSON encoding of an expiration: ``None`` = never expires."""
-    return None if stamp.is_infinite else stamp.value
-
-
-def decode_exp(value: Optional[int]) -> Timestamp:
-    return ts(value)
-
-
-def encode_prev(stamp: Optional[Timestamp]) -> Union[str, int, None]:
-    """JSON encoding of a row's *previous* state: ``"absent"`` = no row."""
-    if stamp is None:
-        return "absent"
-    return encode_exp(stamp)
-
-
-def decode_prev(value: Union[str, int, None]) -> Optional[Timestamp]:
-    if value == "absent":
-        return None
-    return ts(value)
+def _expired(record: Dict[str, Any], now: int) -> bool:
+    """Whether ``record`` is an upsert whose expiration is at or before ``now``."""
+    if record["kind"] != "upsert":
+        return False
+    texp = record["texp"]
+    return texp is not None and texp <= now
 
 
 def _encode_frame(payload: Dict[str, Any]) -> bytes:
@@ -397,10 +378,14 @@ class WriteAheadLog:
 
         ``now`` is the current logical time (finite int); ``base_rows`` is
         the set of ``(table, row)`` pairs present in the base snapshot --
-        an expired final ``upsert`` is dropped outright when its row is
-        not in the base, demoted to a ``remove`` when it is (the base copy
-        must still be erased at replay).  Refuses (returns zero counts)
-        while a transaction is open in the log.
+        a row whose final record is an expired ``upsert`` or a ``remove``
+        and which the base does not hold has nothing to restore or erase
+        at replay, so *every* record of it is dropped and counted as
+        expired (the short-lived row an expiration sweep removed is the
+        common case).  An expired final ``upsert`` of a row the base does
+        hold is demoted to a ``remove`` (the base copy must still be
+        erased at replay).  Refuses (returns zero counts) while a
+        transaction is open in the log.
 
         Returns a stats dict: ``kept``, ``expired``, ``superseded``,
         ``collapsed`` (clock + bracket records), ``demoted``.
@@ -435,6 +420,13 @@ class WriteAheadLog:
         for i, record in enumerate(records):
             if record["kind"] in PHYSICAL_KINDS:
                 final_index[(record["table"], tuple(record["row"]))] = i
+        dead: Set[Tuple[str, tuple]] = set()
+        for key, i in final_index.items():
+            final = records[i]
+            if key not in base_rows and (
+                final["kind"] == "remove" or _expired(final, now)
+            ):
+                dead.add(key)
 
         kept: List[Dict[str, Any]] = []
         for i, record in enumerate(records):
@@ -448,24 +440,22 @@ class WriteAheadLog:
                 continue
             # Physical record.
             key = (record["table"], tuple(record["row"]))
+            if key in dead:
+                stats["expired"] += 1
+                continue
             if final_index[key] != i:
                 stats["superseded"] += 1
                 continue
-            if kind == "upsert":
-                texp = record["texp"]
-                if texp is not None and texp <= now:
-                    if key in base_rows:
-                        demoted = {
-                            "kind": "remove",
-                            "table": record["table"],
-                            "row": record["row"],
-                        }
-                        kept.append(demoted)
-                        stats["demoted"] += 1
-                        stats["kept"] += 1
-                    else:
-                        stats["expired"] += 1
-                    continue
+            if _expired(record, now):  # and the base holds the row
+                demoted = {
+                    "kind": "remove",
+                    "table": record["table"],
+                    "row": record["row"],
+                }
+                kept.append(demoted)
+                stats["demoted"] += 1
+                stats["kept"] += 1
+                continue
             # A kept record must not resurrect its transaction bracket:
             # strip the tag (the txn is resolved, so recovery must not
             # treat the record as in-flight).

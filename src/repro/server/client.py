@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.core.timestamps import Timestamp, ts
+from repro.core.timestamps import Timestamp, decode_exp, ts
 from repro.engine.config import DatabaseConfig
 from repro.engine.database import Database
 from repro.engine.wal import WriteAheadLog
@@ -40,7 +40,6 @@ from repro.errors import RemoteError, SessionError, WireProtocolError
 from repro.server.protocol import (
     PROTOCOL_VERSION,
     FrameDecoder,
-    decode_exp,
     decode_items,
     encode_frame,
     read_frame,

@@ -17,7 +17,7 @@ its peer, and the only safe reaction is to drop the connection.
 still in flight -- simply waits for more input.
 
 Timestamps travel as the WAL encodes them: an integer tick, with ``None``
-for ``∞`` (:func:`~repro.engine.wal.encode_exp`).  Rows travel as JSON
+for ``∞`` (:func:`~repro.core.timestamps.encode_exp`).  Rows travel as JSON
 arrays and come back as tuples.
 
 Message kinds (the ``kind`` field; requests carry ``id``, responses echo
@@ -58,7 +58,7 @@ import struct
 import zlib
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.core.timestamps import Timestamp, ts
+from repro.core.timestamps import Timestamp, decode_exp, encode_exp
 from repro.errors import WireProtocolError
 
 __all__ = [
@@ -68,8 +68,6 @@ __all__ = [
     "encode_frame",
     "encode_items",
     "decode_items",
-    "encode_exp",
-    "decode_exp",
     "read_frame",
     "write_frame",
 ]
@@ -82,16 +80,6 @@ _HEADER = struct.Struct(">II")  # (payload length, crc32) -- same as the WAL
 #: Connection-fatal bound on a single frame; a length beyond this is
 #: framing-desync garbage, not an allocation request.
 MAX_FRAME = 16 * 1024 * 1024
-
-
-def encode_exp(stamp: Timestamp) -> Optional[int]:
-    """JSON encoding of an expiration time: ``None`` = never expires."""
-    return None if stamp.is_infinite else stamp.value
-
-
-def decode_exp(value: Optional[int]) -> Timestamp:
-    """Inverse of :func:`encode_exp`."""
-    return ts(value)
 
 
 def encode_items(items: Iterable[Tuple[tuple, Timestamp]]) -> List[list]:

@@ -32,6 +32,7 @@ import asyncio
 import time
 from typing import Dict, Optional, Tuple
 
+from repro.core.timestamps import encode_exp
 from repro.engine.config import DatabaseConfig
 from repro.engine.database import Database
 from repro.errors import (
@@ -44,7 +45,6 @@ from repro.distributed.reliability import RetryPolicy
 from repro.obs.registry import MetricsRegistry
 from repro.server.protocol import (
     PROTOCOL_VERSION,
-    encode_exp,
     encode_items,
     read_frame,
     write_frame,
@@ -630,7 +630,7 @@ class ReproServer:
         """
         db = self.db
         now = db.clock.now
-        fingerprint = (db.catalog_version, now.value, now.is_infinite)
+        fingerprint = (db.catalog_version, now)
         changed = fingerprint != self._pump_fingerprint
         self._pump_fingerprint = fingerprint
         fam = self.families

@@ -47,11 +47,16 @@ import itertools
 from collections import OrderedDict, deque
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
-from repro.core.timestamps import INFINITY, Timestamp, ts_max
+from repro.core.timestamps import (
+    Timestamp,
+    decode_exp,
+    encode_exp,
+    ts_max,
+)
 from repro.distributed.reliability import RetryPolicy, SessionStats
 from repro.engine.views import MaterialisedView
 from repro.errors import SessionError
-from repro.server.protocol import encode_exp, encode_items
+from repro.server.protocol import encode_items
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only
     from repro.engine.database import Database
@@ -350,7 +355,7 @@ class ServerSession:
             self.enqueue(notice)
             return notice
         entry = PendingPatch(
-            payload["seq"], payload, decode_expiry(payload), sent_at
+            payload["seq"], payload, decode_exp(payload.get("_expires")), sent_at
         )
         sub.pending[entry.seq] = entry
         self.stats.sent += 1
@@ -454,11 +459,3 @@ class ServerSession:
         for sub_id in list(self.subscriptions):
             self.unsubscribe(sub_id)
         self.outbox.clear()
-
-
-def decode_expiry(payload: dict) -> Timestamp:
-    """The envelope-level expiry a patch payload carries (``∞`` if none)."""
-    raw = payload.get("_expires")
-    if raw is None:
-        return INFINITY
-    return Timestamp(raw)

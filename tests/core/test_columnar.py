@@ -2,8 +2,8 @@
 
 :class:`ColumnarRelation` must be a drop-in twin of the row engine's
 :class:`Relation` -- same max-merge duplicate policy, same ``exp_at``,
-same sweep semantics -- stored as parallel attribute arrays plus a raw
-``int64`` expiration column.  These tests pin the raw-tick encoding, the
+same sweep semantics -- stored as parallel attribute arrays plus an
+``int64`` expiration column.  These tests pin the stored-tick encoding, the
 swap-remove density invariant, the trusted bulk paths recovery uses, and
 the :class:`ColumnBatch` bridge the compiled kernels consume, over both
 backends where numpy is importable.
@@ -14,16 +14,9 @@ from array import array
 
 import pytest
 
-from repro.core.columnar import (
-    RAW_INFINITY,
-    ColumnarRelation,
-    from_raw,
-    numpy_available,
-    resolve_backend,
-    to_raw,
-)
+from repro.core.columnar import ColumnarRelation, numpy_available, resolve_backend
 from repro.core.relation import Relation
-from repro.core.timestamps import INFINITY, Timestamp, ts
+from repro.core.timestamps import RAW_INFINITY, INFINITY, Timestamp, from_raw, ts
 from repro.errors import RelationError, TimeError
 
 BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
@@ -37,15 +30,15 @@ def backend(request):
 class TestRawEncoding:
     def test_round_trip_finite(self):
         for value in (0, 1, 17, 10**12):
-            assert from_raw(to_raw(ts(value))).value == value
+            assert from_raw(int(ts(value))).value == value
 
     def test_infinity_sentinel(self):
-        assert to_raw(INFINITY) == RAW_INFINITY
+        assert int(INFINITY) == RAW_INFINITY
         assert from_raw(RAW_INFINITY) is INFINITY
 
     def test_overflow_rejected(self):
         with pytest.raises(TimeError):
-            to_raw(Timestamp(RAW_INFINITY))
+            Timestamp(RAW_INFINITY)
 
     def test_finite_decode_is_interned(self):
         assert from_raw(12345) is from_raw(12345)
@@ -214,7 +207,7 @@ class TestColumnBatch:
         relation = ColumnarRelation(1, backend=backend)
         relation.insert((1,), expires_at=5)
         relation.insert((2,), expires_at=10)
-        batch = relation.batch(to_raw(ts(5)))
+        batch = relation.batch(ts(5))
         assert len(batch) == 1
         assert list(batch.iter_rows()) == [(2,)]
 
@@ -264,7 +257,7 @@ class TestNumpyBackend:
         relation = ColumnarRelation(1, backend="numpy")
         relation.insert((1,), expires_at=5)
         relation.insert((2,), expires_at=10)
-        batch = relation.batch(to_raw(ts(5)))
+        batch = relation.batch(ts(5))
         assert batch.is_numpy
         assert isinstance(batch.texp, np.ndarray)
         plain = batch.to_python()

@@ -4,7 +4,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.timestamps import FOREVER, INFINITY, Timestamp, ts, ts_max, ts_min
+from repro.core.timestamps import (
+    FOREVER,
+    INFINITY,
+    RAW_INFINITY,
+    Timestamp,
+    from_raw,
+    ts,
+    ts_max,
+    ts_min,
+)
 from repro.errors import TimeError
 
 finite_values = st.integers(min_value=0, max_value=10**9)
@@ -152,3 +161,56 @@ class TestDisplay:
     def test_str(self):
         assert str(Timestamp(5)) == "5"
         assert str(INFINITY) == "inf"
+
+
+class TestIntRepresentation:
+    """A timestamp *is* its int: one representation, int's own eq/hash."""
+
+    @given(value=finite_values)
+    def test_hash_matches_int(self, value):
+        assert hash(Timestamp(value)) == hash(value)
+
+    def test_dict_and_set_lookup_mix_int_and_timestamp(self):
+        assert {5: "a"}[Timestamp(5)] == "a"
+        assert {Timestamp(5): "a"}[5] == "a"
+        assert Timestamp(5) in {5}
+        assert 5 in {Timestamp(5)}
+        assert len({5, Timestamp(5)}) == 1
+
+    def test_infinity_is_the_int64_sentinel(self):
+        assert INFINITY == RAW_INFINITY
+        assert hash(INFINITY) == hash(RAW_INFINITY)
+        assert from_raw(RAW_INFINITY) is INFINITY
+
+    def test_sentinel_rejected_as_finite(self):
+        with pytest.raises(TimeError):
+            Timestamp(RAW_INFINITY)
+        with pytest.raises(TimeError):
+            ts(RAW_INFINITY + 1)
+        with pytest.raises(TimeError):
+            Timestamp(RAW_INFINITY - 1) + 1
+
+    @given(delta=st.integers(min_value=0, max_value=RAW_INFINITY))
+    def test_infinity_saturates_both_ways(self, delta):
+        assert (INFINITY + delta) is INFINITY
+        assert (delta + INFINITY) is INFINITY
+        assert (INFINITY - delta) is INFINITY
+
+    def test_ts_none_is_the_infinity_singleton(self):
+        assert ts(None) is INFINITY
+        assert Timestamp(None) is INFINITY
+        assert Timestamp() is INFINITY
+
+    def test_arithmetic_stays_a_timestamp(self):
+        assert type(Timestamp(3) + 4) is Timestamp
+        assert type(4 + Timestamp(3)) is Timestamp
+        assert type(Timestamp(10) - 4) is Timestamp
+
+    def test_pickle_and_copy_keep_the_singleton(self):
+        import copy
+        import pickle
+
+        assert pickle.loads(pickle.dumps(INFINITY)) is INFINITY
+        assert copy.deepcopy(INFINITY) is INFINITY
+        assert pickle.loads(pickle.dumps(Timestamp(7))) == Timestamp(7)
+        assert type(copy.copy(Timestamp(7))) is Timestamp

@@ -103,10 +103,10 @@ class TestPolicyEnum:
 
 
 class TestWheelHeapDifferential:
-    """Wheel ≡ heap on the raw bulk path and the cached-minimum query.
+    """Wheel ≡ heap on the bulk pop path and the cached-minimum query.
 
     Complements the pop_due equivalence in ``test_timer_wheel.py``: this
-    trace interleaves ``pop_due_raw`` (bounded and unbounded, the sweep
+    trace interleaves ``pop_due`` (bounded and unbounded, the sweep
     kernels' path) with ``next_expiration`` probes after *every* op, so a
     stale cached minimum in the wheel cannot hide behind a later pop.
     """
@@ -144,17 +144,17 @@ class TestWheelHeapDifferential:
                 heap.remove(row)
             elif op == "pop":
                 now += value
-                due_wheel = wheel.pop_due_raw(now)
-                due_heap = heap.pop_due_raw(now)
+                due_wheel = wheel.pop_due(now)
+                due_heap = heap.pop_due(now)
                 # Same multiset; ties in texp may order freely, but both
                 # must come out sorted by texp.
                 assert sorted(due_wheel) == sorted(due_heap)
                 assert [t for _, t in due_wheel] == sorted(
                     t for _, t in due_wheel
                 )
-            else:  # drain: the unbounded sweep path (limit=None)
-                due_wheel = wheel.pop_due_raw(None)
-                due_heap = heap.pop_due_raw(None)
+            else:  # drain: the unbounded sweep path (now = INFINITY)
+                due_wheel = wheel.pop_due(INFINITY)
+                due_heap = heap.pop_due(INFINITY)
                 assert sorted(due_wheel) == sorted(due_heap)
                 assert len(wheel) == len(heap) == 0
             # The trigger scheduler's hot-path query agrees after every op.

@@ -5,15 +5,11 @@ import zlib
 
 import pytest
 
-from repro.core.timestamps import INFINITY, ts
-from repro.engine.wal import (
-    WriteAheadLog,
-    decode_exp,
-    decode_prev,
-    encode_exp,
-    encode_prev,
-    scan_log,
-)
+from repro.core.timestamps import INFINITY, decode_exp, encode_exp, ts
+from repro.engine.database import Database
+from repro.engine.expiration_index import RemovalPolicy
+from repro.engine.recovery import recover_database
+from repro.engine.wal import WriteAheadLog, scan_log
 from repro.errors import WalError
 
 
@@ -24,13 +20,23 @@ class TestEncodings:
         assert decode_exp(None) == INFINITY
         assert decode_exp(5) == ts(5)
 
-    def test_previous_state_roundtrip(self):
-        assert encode_prev(None) == "absent"
-        assert encode_prev(INFINITY) is None
-        assert encode_prev(ts(7)) == 7
-        assert decode_prev("absent") is None
-        assert decode_prev(None) == INFINITY
-        assert decode_prev(7) == ts(7)
+    def test_previous_state_roundtrip(self, tmp_path):
+        """``prev`` is ``"absent"`` for no row, else the encoded texp."""
+        db = Database(wal_dir=tmp_path)
+        table = db.create_table("T", ["k"])
+        table.insert((1,))  # absent -> forever
+        table.insert((2,), expires_at=7)  # absent -> 7
+        table.override((1,), expires_at=9)  # forever -> 9
+        table.insert((2,), expires_at=8)  # 7 -> 8
+        db.close()
+        upserts = [r for r in scan_log(tmp_path / WriteAheadLog.LOG_NAME)[0]
+                   if r.kind == "upsert"]
+        assert [(r["row"], r["prev"], r["texp"]) for r in upserts] == [
+            ([1], "absent", None),
+            ([2], "absent", 7),
+            ([1], None, 9),
+            ([2], 7, 8),
+        ]
 
 
 class TestFrames:
@@ -213,3 +219,77 @@ class TestCompaction:
         wal.compact(now=10)
         assert final_visible(wal.records(), 10) == before
         wal.close()
+
+
+class TestSweepRemovalCompaction:
+    """Compaction drops the ``remove`` records expiration sweeps leave.
+
+    Every sweep path logs a ``remove`` per reclaimed row.  For a row the
+    base snapshot does not hold, that final ``remove`` erases nothing at
+    replay, so compaction must drop it with the rest of the row's history
+    (all counted as expired) -- otherwise each short-lived row leaves one
+    record behind forever.
+    """
+
+    LAYOUTS = [
+        {},
+        {"layout": "columnar"},
+        {"partitions": 3, "partition_key": "k"},
+        {"partitions": 3, "partition_key": "k", "layout": "columnar"},
+    ]
+
+    @staticmethod
+    def _swept_database(tmp_path, kwargs, policy, checkpoint):
+        db = Database(wal_dir=tmp_path)
+        table = db.create_table(
+            "T", ["k", "v"], removal_policy=RemovalPolicy[policy],
+            lazy_batch_size=1_000, **kwargs,
+        )
+        for key in range(6):
+            table.insert((key, key), expires_at=4)
+        table.insert((99, 99), expires_at=50)
+        if checkpoint:
+            db.checkpoint()  # the short-lived rows are now in the base
+        db.advance_to(5)
+        if policy == "LAZY":
+            assert table.vacuum() == 6
+        assert table.physical_size == 1
+        return db
+
+    @pytest.mark.parametrize("kwargs", LAYOUTS)
+    @pytest.mark.parametrize("policy", ["EAGER", "LAZY"])
+    def test_swept_rows_absent_from_base_leave_no_record(
+        self, tmp_path, kwargs, policy
+    ):
+        db = self._swept_database(tmp_path, kwargs, policy, checkpoint=False)
+        stats = db.compact_wal()
+        # Each swept row's upsert and remove both go, as expired.
+        assert stats["expired"] == 12
+        assert stats["superseded"] == 0
+        assert stats["demoted"] == 0
+        rows = {tuple(r["row"]) for r in db.wal.records() if "row" in r}
+        assert rows == {(99, 99)}
+        db.close()
+        recovered = recover_database(tmp_path)
+        assert set(recovered.table("T").read().rows()) == {(99, 99)}
+        assert recovered.table("T").physical_size == 1
+        assert recovered.verify(strict=True, deep=True) == []
+        recovered.close()
+
+    @pytest.mark.parametrize("kwargs", LAYOUTS)
+    @pytest.mark.parametrize("policy", ["EAGER", "LAZY"])
+    def test_swept_rows_in_base_keep_their_remove(
+        self, tmp_path, kwargs, policy
+    ):
+        db = self._swept_database(tmp_path, kwargs, policy, checkpoint=True)
+        stats = db.compact_wal()
+        assert stats["expired"] == 0
+        removes = {
+            tuple(r["row"]) for r in db.wal.records() if r.kind == "remove"
+        }
+        assert removes == {(key, key) for key in range(6)}
+        db.close()
+        recovered = recover_database(tmp_path)
+        assert recovered.table("T").physical_size == 1
+        assert recovered.verify(strict=True, deep=True) == []
+        recovered.close()

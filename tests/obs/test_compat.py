@@ -1,7 +1,5 @@
 """The redesigned stats API stays backward compatible (one-release shims)."""
 
-import warnings
-
 import pytest
 
 from repro.core.algebra.evaluator import EvalStats
@@ -63,13 +61,6 @@ class TestEngineStatisticsView:
         stats = EngineStatistics()
         assert list(stats.as_dict()) == list(ENGINE_COUNTERS)
 
-    def test_reset_warns_but_works(self):
-        stats = EngineStatistics()
-        stats.inserts += 3
-        with pytest.warns(DeprecationWarning):
-            stats.reset()
-        assert stats.inserts == 0
-
     def test_standalone_table_gets_private_registry(self):
         from repro.core.schema import Schema
         from repro.engine.clock import LogicalClock
@@ -80,15 +71,6 @@ class TestEngineStatisticsView:
 
 
 class TestEvalStatsShim:
-    def test_merge_warns_but_accumulates(self):
-        a = EvalStats(tuples_scanned=3, cache_hits=1)
-        b = EvalStats(tuples_scanned=2, operators_evaluated=4)
-        with pytest.warns(DeprecationWarning):
-            a.merge(b)
-        assert a.tuples_scanned == 5
-        assert a.operators_evaluated == 4
-        assert a.cache_hits == 1
-
     def test_as_dict(self):
         stats = EvalStats(tuples_scanned=2)
         assert stats.as_dict()["tuples_scanned"] == 2

@@ -14,14 +14,12 @@ import zlib
 
 import pytest
 
-from repro.core.timestamps import INFINITY, ts
+from repro.core.timestamps import INFINITY, decode_exp, encode_exp, ts
 from repro.errors import WireProtocolError
 from repro.server.protocol import (
     MAX_FRAME,
     FrameDecoder,
-    decode_exp,
     decode_items,
-    encode_exp,
     encode_frame,
     encode_items,
     read_frame,
