@@ -156,10 +156,10 @@ def approximate_count_validity(
     an expiring partition only ever *decreases* as time passes, so the
     accepted region is one contiguous interval ``[τ, h)`` where ``h`` is
     the first expiration instant at which the cumulative drop leaves the
-    tolerance band -- computable with a sort and a single scan.  This is
-    the continuous-query hot path (:mod:`repro.workloads.streaming`
-    re-derives each standing count's ``I(e)`` from exactly this), where
-    building the full timeline per refresh would dominate.
+    tolerance band -- computable with a sort and a single scan.  It is the
+    oracle for the standing counts of :mod:`repro.workloads.streaming`,
+    which derive the same ``I(e)`` incrementally from their own
+    expiration heaps; the test suite checks every refresh against it.
 
     ``texps`` are the partition members' stored expirations; members dead
     at ``τ`` are ignored.  Like the general machinery, the partition's

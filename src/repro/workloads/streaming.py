@@ -18,13 +18,14 @@ story made runnable on the engine:
 
 * **Standing queries are served from validity intervals.**  Each
   standing query caches its answer together with the Schrödinger
-  validity interval ``I(e)`` of that answer, tolerance-widened through
-  :mod:`repro.core.approximate`.  Arrivals fold into the cached answer
-  incrementally (an O(log n) heap push, never a rescan); expirations do
-  not need to be observed at all until the clock leaves ``I(e)`` -- only
-  then does the query re-evaluate.  Revocations (``override``/delete)
-  conservatively mark the query dirty through the table's delete
-  listeners, so a shortened lifetime is never served stale.
+  validity interval ``I(e)`` of that answer, tolerance-widened as in
+  :mod:`repro.core.approximate`, and re-evaluates only when the clock
+  leaves ``I(e)``.  Arrivals fold in incrementally (an O(log n) heap
+  push); a count's refresh drains the expirations since the last one
+  and walks its next ``k`` deadlines instead of rescanning the stream.
+  Revocations (``override``/delete) mark a query dirty through the
+  table's delete listeners -- so a shortened lifetime is never served
+  stale -- and only then, or on its first read, does a count rescan.
 
 Queries shipped: windowed :class:`WindowedCount` and
 :class:`DistinctCount` (exact on the arrival side, within the declared
@@ -40,21 +41,15 @@ network-monitoring example builds on).
 from __future__ import annotations
 
 import heapq
-import itertools
 import random
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.aggregates import MaxAggregate, MinAggregate
-from repro.core.approximate import (
-    EXACT_TOLERANCE,
-    Tolerance,
-    approximate_count_validity,
-    approximate_validity,
-)
+from repro.core.approximate import EXACT_TOLERANCE, Tolerance
 from repro.core.intervals import IntervalSet
 from repro.core.schema import Schema
-from repro.core.timestamps import Timestamp, ts
+from repro.core.timestamps import INFINITY, Timestamp, ts
+from repro.core.tuples import ExpiringTuple
 from repro.engine.database import Database
 from repro.engine.expiration_index import RemovalPolicy
 from repro.engine.table import Table
@@ -83,8 +78,8 @@ def declare_streaming_families(registry):
 
     Returns ``(events, touches, serves, refreshes, refresh_seconds,
     resident)``.  The serve counter's ``source`` label is the module's
-    core claim made observable: ``cached`` serves never rescanned the
-    stream, ``refresh`` serves did -- and only because the clock left the
+    core claim made observable: ``cached`` serves re-evaluated nothing,
+    ``refresh`` serves did -- and only because the clock left the
     answer's validity interval (or a revocation dirtied it).
     """
     events = registry.counter(
@@ -111,7 +106,7 @@ def declare_streaming_families(registry):
     )
     refresh_seconds = registry.histogram(
         "repro_streaming_refresh_seconds",
-        "Wall time of standing-query re-evaluations (full rescans).",
+        "Wall time of standing-query refreshes (re-evaluations on read).",
     )
     resident = registry.gauge(
         "repro_streaming_resident_tuples",
@@ -119,6 +114,20 @@ def declare_streaming_families(registry):
         labels=("stream",),
     )
     return events, touches, serves, refreshes, refresh_seconds, resident
+
+
+class _BoundSeries(dict):
+    """``label value -> series`` of ``family`` under the leading labels
+    ``prefix``: each bound once (no ``Family.labels`` per operation), and
+    on first use (a series nothing updated is never exported)."""
+
+    def __init__(self, family, *prefix: str) -> None:
+        self.family = family
+        self.prefix = prefix
+
+    def __missing__(self, value: str):
+        series = self[value] = self.family.labels(*self.prefix, value)
+        return series
 
 
 # -- standing queries --------------------------------------------------------
@@ -143,8 +152,8 @@ class StandingQuery:
         self._validity: Optional[IntervalSet] = None
         self._dirty = False
         self._dirty_cause = "revoked"
-        #: tiebreak for heap entries with equal expirations
-        self._seq = itertools.count()
+        self._served = _BoundSeries(store._serves, name)  # by source
+        self._refreshed = _BoundSeries(store._refreshes, name)  # by cause
         table.insert_listeners.append(self._on_insert)
         table.delete_listeners.append(self._on_delete)
 
@@ -177,10 +186,10 @@ class StandingQuery:
             self._validity = self._refresh(tau)
             self.store._refresh_seconds.observe(time.perf_counter() - started)
             self._dirty = False
-            self.store._refreshes.labels(self.name, cause).inc()
-            self.store._serves.labels(self.name, "refresh").inc()
+            self._refreshed[cause].inc()
+            self._served["refresh"].inc()
         else:
-            self.store._serves.labels(self.name, "cached").inc()
+            self._served["cached"].inc()
         return self._serve(tau)
 
     @property
@@ -212,18 +221,27 @@ class StandingQuery:
             if tau < texp
         ]
 
+    def _replay_live(self, tau: Timestamp) -> None:
+        """Feed every row live at ``tau`` through the insert listener."""
+        for row, texp in self._live_items(tau):
+            self._on_insert(self.table, ExpiringTuple(row, texp))
+
 
 class WindowedCount(StandingQuery):
     """``COUNT(*)`` over the unexpired stream, within ``tolerance``.
 
-    A refresh snapshots the live rows and derives the count's validity
-    interval with :func:`~repro.core.approximate.approximate_count_validity`:
-    the cached count stays servable until enough of the snapshot expires
-    to leave the tolerance band.  Arrivals between refreshes are exact: a
-    genuinely new row bumps the count and parks its expiration on a small
-    heap, which serving drains -- so only the *snapshot's* expirations
-    ride the tolerance, and the total error is bounded by it.
+    The count keeps its own expiration heap across refreshes.  Arrivals
+    are exact: a new unit (here the row itself) bumps the served count
+    until it expires, which serving drains off the heap; expirations of
+    the units counted at the last refresh ride the tolerance, so the total
+    error is bounded by it.  A refresh drains what expired since the last
+    one, then walks the next deadlines until the drop leaves the band:
+    ``O((expired + k) log n)``, ``k = 1`` when exact.  Only the first read
+    and a revocation rescan the stream.
     """
+
+    #: Schema index of the counted attribute; ``None`` counts whole rows.
+    attribute: Optional[int] = None
 
     def __init__(
         self,
@@ -233,67 +251,105 @@ class WindowedCount(StandingQuery):
         tolerance: Tolerance = EXACT_TOLERANCE,
     ) -> None:
         self.tolerance = tolerance
+        #: units counted at the last refresh
         self._base = 0
-        #: rows counted (snapshot + arrivals), so renewals don't double-count
-        self._known: Dict[tuple, Timestamp] = {}
-        #: (texp, seq, row) for arrivals since the last refresh
-        self._pending: List[Tuple[Timestamp, int, tuple]] = []
-        self._pending_live = 0
+        #: unit -> texp of every counted unit (max-merged: renewals don't
+        #: double-count)
+        self._texps: Dict[Any, Timestamp] = {}
+        #: min-heap of finite deadlines, and the units filed under each; a
+        #: filed unit is live iff _texps still maps it to that deadline
+        self._deadlines: List[Timestamp] = []
+        self._due: Dict[Timestamp, List[Any]] = {}
+        #: units that arrived since the last refresh and are still live
+        self._arrived: set = set()
+        #: units counted in _base found expired while serving; their dict
+        #: entries stay (a re-insert is a renewal) until the next refresh
+        self._lapsed: List[Any] = []
         super().__init__(store, name, table)
 
     def _on_insert(self, table: Table, stored) -> None:
-        row, texp = stored.row, stored.expires_at
-        if row in self._known:
-            # A renewal: already counted; the moved texp only makes the
-            # cached horizon conservative (never wrong).
-            self._known[row] = texp
-            return
-        self._known[row] = texp
-        self._pending_live += 1
-        if texp.is_finite:
-            heapq.heappush(self._pending, (texp, next(self._seq), row))
+        unit = stored.row if self.attribute is None else stored.row[self.attribute]
+        texp = stored.expires_at
+        current = self._texps.get(unit)
+        if current is None:
+            self._arrived.add(unit)
+        elif texp <= current:
+            return  # a renewal the max-merge swallowed: nothing moved
+        self._texps[unit] = texp
+        if texp != INFINITY:
+            due = self._due.get(texp)
+            if due is None:
+                self._due[texp] = [unit]
+                heapq.heappush(self._deadlines, texp)
+            else:
+                due.append(unit)
 
     def _refresh(self, tau: Timestamp) -> IntervalSet:
-        live = self._live_items(tau)
-        self._known = dict(live)
-        self._pending = []
-        self._pending_live = 0
-        if not live:
-            self._base = 0
+        if self._dirty or self._validity is None:
+            # First read or revocation: rebuild from the live stream.
+            self._texps, self._deadlines, self._due = {}, [], {}
+            self._replay_live(tau)
+        else:
+            self._drain(tau)
+            texps = self._texps
+            for unit in self._lapsed:  # unless renewed (or dropped) since
+                if texps.get(unit, INFINITY) <= tau:
+                    del texps[unit]
+        self._arrived, self._lapsed = set(), []
+        self._base = count = len(self._texps)
+        if not count:
             # An empty stream stays empty until an arrival -- which the
             # insert listener folds in without invalidating anything.
             return IntervalSet.from_onwards(tau)
-        self._base, validity = approximate_count_validity(
-            [texp for _, texp in live], tau, self.tolerance
-        )
-        return validity
+        return IntervalSet.single(tau, self._horizon(count))
+
+    def _horizon(self, count: int) -> Timestamp:
+        """The end of ``I(e)``: the first deadline at which the drop
+        leaves the tolerance band, found by a best-first walk over heap
+        indices (nothing is popped).  Failing that, the partition's
+        death: ``∞`` if some unit is immortal, else the largest texp."""
+        heap, due, texps = self._deadlines, self._due, self._texps
+        accepts = self.tolerance.accepts
+        size = len(heap)
+        frontier = [(heap[0], 0)] if heap else []
+        dropped = 0
+        while frontier:
+            deadline, index = heapq.heappop(frontier)
+            for child in (2 * index + 1, 2 * index + 2):
+                if child < size:
+                    heapq.heappush(frontier, (heap[child], child))
+            for unit in due[deadline]:
+                if texps.get(unit) == deadline:
+                    dropped += 1
+            if not accepts(count, count - dropped):
+                return deadline
+        return max(texps.values())  # the walk saw every finite one anyway
 
     def _drain(self, tau: Timestamp) -> None:
-        while self._pending and self._pending[0][0] <= tau:
-            _, _, row = heapq.heappop(self._pending)
-            current = self._known.get(row)
-            if current is None:
-                continue
-            if current <= tau:
-                del self._known[row]
-                self._pending_live -= 1
-            elif current.is_finite:
-                # Renewed past the parked deadline: chase the new texp.
-                heapq.heappush(self._pending, (current, next(self._seq), row))
+        deadlines = self._deadlines
+        while deadlines and deadlines[0] <= tau:
+            texp = heapq.heappop(deadlines)
+            texps, arrived = self._texps, self._arrived
+            for unit in self._due.pop(texp):
+                if texps.get(unit) != texp:
+                    continue  # tombstone: renewed since, or already dropped
+                if unit in arrived:
+                    arrived.discard(unit)
+                    del texps[unit]
+                else:
+                    self._lapsed.append(unit)
 
     def _serve(self, tau: Timestamp) -> int:
         self._drain(tau)
-        return self._base + self._pending_live
+        return self._base + len(self._arrived)
 
 
-class DistinctCount(StandingQuery):
+class DistinctCount(WindowedCount):
     """``COUNT(DISTINCT attribute)`` over the unexpired stream.
 
-    Same serve/refresh shape as :class:`WindowedCount`, but the tracked
-    unit is a *value* of one attribute, alive while any stream row
-    carrying it is alive.  Tracking the per-value max expiration is the
-    model's max-merge projection (Theorem 1: monotonic, so arrivals
-    propagate as pure deltas).
+    :class:`WindowedCount` counting values of one attribute, each alive
+    while any row carrying it is: the per-value max expiration is the
+    model's max-merge projection (Theorem 1: arrivals are pure deltas).
     """
 
     def __init__(
@@ -305,62 +361,10 @@ class DistinctCount(StandingQuery):
         tolerance: Tolerance = EXACT_TOLERANCE,
     ) -> None:
         self.attribute = table.schema.index(attribute)
-        self.tolerance = tolerance
-        self._base = 0
-        self._known: Dict[Any, Timestamp] = {}
-        self._pending: List[Tuple[Timestamp, int, Any]] = []
-        self._pending_live = 0
-        super().__init__(store, name, table)
+        super().__init__(store, name, table, tolerance)
 
-    def _on_insert(self, table: Table, stored) -> None:
-        value = stored.row[self.attribute]
-        texp = stored.expires_at
-        current = self._known.get(value)
-        if current is not None:
-            # Already tracked (alive, or dead within the tolerance band
-            # the current horizon already accounts for): max-merge the
-            # expiration; any parked heap entry chases it on drain.
-            if current < texp:
-                self._known[value] = texp
-            return
-        self._known[value] = texp
-        self._pending_live += 1
-        if texp.is_finite:
-            heapq.heappush(self._pending, (texp, next(self._seq), value))
-
-    def _refresh(self, tau: Timestamp) -> IntervalSet:
-        merged: Dict[Any, Timestamp] = {}
-        for row, texp in self._live_items(tau):
-            value = row[self.attribute]
-            current = merged.get(value)
-            if current is None or current < texp:
-                merged[value] = texp
-        self._known = merged
-        self._pending = []
-        self._pending_live = 0
-        if not merged:
-            self._base = 0
-            return IntervalSet.from_onwards(tau)
-        self._base, validity = approximate_count_validity(
-            list(merged.values()), tau, self.tolerance
-        )
-        return validity
-
-    def _drain(self, tau: Timestamp) -> None:
-        while self._pending and self._pending[0][0] <= tau:
-            _, _, value = heapq.heappop(self._pending)
-            current = self._known.get(value)
-            if current is None:
-                continue
-            if current <= tau:
-                del self._known[value]
-                self._pending_live -= 1
-            elif current.is_finite:
-                heapq.heappush(self._pending, (current, next(self._seq), value))
-
-    def _serve(self, tau: Timestamp) -> int:
-        self._drain(tau)
-        return self._base + self._pending_live
+    # Bound in this class too, so per-class instrumentation can wrap it.
+    _refresh = WindowedCount._refresh
 
 
 class ReservoirSample(StandingQuery):
@@ -409,10 +413,8 @@ class ReservoirSample(StandingQuery):
 
     def _refresh(self, tau: Timestamp) -> IntervalSet:
         live = [row for row, _ in self._live_items(tau)]
-        if len(live) <= self.capacity:
-            self._members = list(live)
-        else:
-            self._members = self.rng.sample(live, self.capacity)
+        fits = len(live) <= self.capacity
+        self._members = live if fits else self.rng.sample(live, self.capacity)
         self._arrivals = len(live)
         # The reservoir's own validity: it degrades gracefully (members
         # just vanish as they expire), so only *depletion* forces the next
@@ -435,15 +437,14 @@ class ReservoirSample(StandingQuery):
 class ExtentAggregate(StandingQuery):
     """Diameter (max - min) of a numeric attribute, within ``tolerance``.
 
-    A refresh computes the true min and max over the live stream and
-    intersects their tolerance-widened validities
-    (:func:`~repro.core.approximate.approximate_validity` with the min/max
-    aggregates): the cached extent is served until *either* endpoint
-    drifts out of band.  Arrivals fold in exactly -- a value outside the
-    current ``[lo, hi]`` widens it immediately -- and park their
-    expiration on a heap; an expiring arrival that carried an endpoint
-    dirties the query (the extent may shrink, which only a rescan can
-    bound).
+    A refresh computes the true min and max over the live stream and, in
+    one pass, the intersection of their tolerance-widened validities (as
+    :func:`~repro.core.approximate.approximate_validity` gives them): the
+    cached extent is served until *either* endpoint drifts out of band.
+    Arrivals fold in exactly -- a value outside ``[lo, hi]`` widens it
+    at once -- and park their expiration on a heap; an expiring arrival
+    that carried an endpoint dirties the query (the extent may shrink,
+    which only a rescan can bound).
     """
 
     def __init__(
@@ -458,7 +459,7 @@ class ExtentAggregate(StandingQuery):
         self.tolerance = tolerance
         self._lo: Optional[Any] = None
         self._hi: Optional[Any] = None
-        self._pending: List[Tuple[Timestamp, int, Any]] = []
+        self._pending: List[Tuple[Timestamp, Any]] = []
         super().__init__(store, name, table)
 
     def _on_insert(self, table: Table, stored) -> None:
@@ -467,32 +468,32 @@ class ExtentAggregate(StandingQuery):
             self._lo = value
         if self._hi is None or value > self._hi:
             self._hi = value
-        if stored.expires_at.is_finite:
-            heapq.heappush(
-                self._pending, (stored.expires_at, next(self._seq), value)
-            )
+        if stored.expires_at != INFINITY:
+            heapq.heappush(self._pending, (stored.expires_at, value))
 
     def _refresh(self, tau: Timestamp) -> IntervalSet:
-        items = [
-            (row[self.attribute], texp) for row, texp in self._live_items(tau)
-        ]
+        index = self.attribute
+        items = [(row[index], texp) for row, texp in self._live_items(tau)]
         self._pending = []
         if not items:
             self._lo = self._hi = None
             return IntervalSet.from_onwards(tau)
-        values = [value for value, _ in items]
-        self._lo, self._hi = min(values), max(values)
-        lo_validity = approximate_validity(
-            items, MinAggregate(), tau, self.tolerance
-        )
-        hi_validity = approximate_validity(
-            items, MaxAggregate(), tau, self.tolerance
-        )
-        return lo_validity & hi_validity
+        self._lo, self._hi = lo, hi = min(items)[0], max(items)[0]
+        # Expiration only raises the minimum and lowers the maximum, so an
+        # endpoint stays in band while a member whose value the tolerance
+        # accepts against it lives: until the largest such member's texp.
+        accepts = self.tolerance.accepts
+        lo_end = hi_end = tau
+        for value, texp in items:
+            if texp > lo_end and accepts(lo, value):
+                lo_end = texp
+            if texp > hi_end and accepts(hi, value):
+                hi_end = texp
+        return IntervalSet.single(tau, min(lo_end, hi_end))
 
     def _before_serve(self, tau: Timestamp) -> None:
         while self._pending and self._pending[0][0] <= tau:
-            _, _, value = heapq.heappop(self._pending)
+            _, value = heapq.heappop(self._pending)
             if self._lo is not None and (value == self._lo or value == self._hi):
                 # An endpoint-carrying arrival died: the extent may have
                 # shrunk in a way no precomputed band bounds -- rescan.
@@ -574,14 +575,8 @@ class ThresholdWatch(StandingQuery):
             bucket[value] = stored.expires_at
 
     def _refresh(self, tau: Timestamp) -> IntervalSet:
-        groups: Dict[Any, Dict[tuple, Timestamp]] = {}
-        for row, texp in self._live_items(tau):
-            group, value = self._key(row)
-            bucket = groups.setdefault(group, {})
-            current = bucket.get(value)
-            if current is None or current < texp:
-                bucket[value] = texp
-        self._groups = groups
+        self._groups = {}
+        self._replay_live(tau)
         # Counts are pruned per serve; only revocations need a rescan.
         return IntervalSet.from_onwards(tau)
 
@@ -638,13 +633,17 @@ class StreamStore:
         self.database = database if database is not None else Database()
         self._queries: Dict[str, StandingQuery] = {}
         (
-            self._events,
-            self._touches,
+            events,
+            touches,
             self._serves,
             self._refreshes,
             self._refresh_seconds,
-            self._resident,
+            resident,
         ) = declare_streaming_families(self.database.metrics)
+        #: per-stream series, keyed by stream name
+        self._events = _BoundSeries(events)
+        self._touches = _BoundSeries(touches)
+        self._resident = _BoundSeries(resident)
 
     # -- streams -------------------------------------------------------------
 
@@ -689,8 +688,8 @@ class StreamStore:
         """One arrival: an insert whose texp is arrival + window/TTL."""
         table = self.stream(name)
         table.insert(row, ttl=ttl)
-        self._events.labels(name).inc()
-        self._resident.labels(name).set(table.physical_size)
+        self._events[name].inc()
+        self._resident[name].set(table.physical_size)
 
     def touch(self, name: str, row: tuple, ttl: Optional[int] = None) -> bool:
         """Activity on a since-last-modification stream: restart the timer.
@@ -700,14 +699,14 @@ class StreamStore:
         """
         touched = self.stream(name).touch(row, ttl=ttl)
         if touched is not None:
-            self._touches.labels(name).inc()
+            self._touches[name].inc()
         return touched is not None
 
     def resident_tuples(self, name: str) -> int:
         """Physically resident rows (expired-but-unswept included)."""
         table = self.stream(name)
         size = table.physical_size
-        self._resident.labels(name).set(size)
+        self._resident[name].set(size)
         return size
 
     # -- standing queries ----------------------------------------------------

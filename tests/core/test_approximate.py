@@ -16,6 +16,7 @@ from repro.core.approximate import (
     EXACT_TOLERANCE,
     AbsoluteTolerance,
     RelativeTolerance,
+    approximate_count_validity,
     approximate_expiration,
     approximate_validity,
     max_observed_error,
@@ -141,6 +142,35 @@ class TestApproximateValidity:
             partition, SumAggregate(), ts(0), AbsoluteTolerance(1)
         )
         assert validity == IntervalSet.from_pairs([(0, 3), (7, None)])
+
+
+class TestCountValidity:
+    """The COUNT special case (the standing counts' test oracle) agrees
+    with the general timeline machinery."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        tau=st.integers(0, 10),
+        texps=st.lists(
+            st.one_of(st.integers(0, 40), st.just(None)), min_size=1, max_size=30
+        ),
+        tolerance=st.one_of(
+            st.integers(0, 8).map(AbsoluteTolerance),
+            st.sampled_from([0.0, 0.1, 0.3, 1.0]).map(RelativeTolerance),
+        ),
+    )
+    def test_matches_approximate_validity(self, tau, texps, tolerance):
+        stamps = [ts(texp) for texp in texps]
+        live = [(1, texp) for texp in stamps if texp > tau]
+        if not live:
+            with pytest.raises(AggregateError):
+                approximate_count_validity(stamps, ts(tau), tolerance)
+            return
+        count, validity = approximate_count_validity(stamps, ts(tau), tolerance)
+        assert count == len(live)
+        assert validity == approximate_validity(
+            live, CountAggregate(), ts(tau), tolerance
+        )
 
 
 class TestObservedError:

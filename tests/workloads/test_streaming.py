@@ -11,8 +11,18 @@ advances.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.approximate import AbsoluteTolerance
+from repro.core.aggregates import MaxAggregate, MinAggregate
+from repro.core.approximate import (
+    AbsoluteTolerance,
+    RelativeTolerance,
+    approximate_count_validity,
+    approximate_validity,
+)
+from repro.core.intervals import IntervalSet
+from repro.core.timestamps import INFINITY
 from repro.engine.database import Database
 from repro.errors import EngineError
 from repro.workloads import (
@@ -378,3 +388,167 @@ class TestPersistence:
         assert table.touch(("a", "b", 80)) is not None
         recovered.tick(4)
         assert len(table) == 1
+
+
+COUNT_TOLERANCES = [
+    pytest.param(AbsoluteTolerance(0), id="exact"),
+    pytest.param(AbsoluteTolerance(3), id="abs3"),
+    pytest.param(RelativeTolerance(0.1), id="rel0.1"),
+]
+
+
+def live_unit_texps(table, tau, index=None):
+    """Brute force: each live unit's expiration (max over its rows)."""
+    texps = {}
+    for row, texp in table.relation.items():
+        if tau < texp:
+            unit = row if index is None else row[index]
+            texps[unit] = max(texp, texps.get(unit, texp))
+    return list(texps.values())
+
+
+def count_oracle(texps, tau, tolerance):
+    if not texps:
+        return 0, IntervalSet.from_onwards(tau)
+    return approximate_count_validity(texps, tau, tolerance)
+
+
+class TestCountRefreshDifferential:
+    """Every count refresh derives the very ``(count, I(e))`` that
+    :func:`approximate_count_validity` gives over the brute-force live
+    stream, whatever mix of renewals, touches, revocations and immortal
+    rows came before it; cached serves stay inside the tolerance."""
+
+    @pytest.mark.parametrize("distinct", [False, True], ids=["count", "distinct"])
+    @pytest.mark.parametrize("tolerance", COUNT_TOLERANCES)
+    @pytest.mark.parametrize("shape", STREAM_SHAPES)
+    def test_every_read_matches_the_oracle(self, shape, tolerance, distinct):
+        store = make_store(shape, ttl=12, expiry="since_last_modification")
+        table = store.stream("s")
+        if distinct:
+            query = store.distinct("s", "key", tolerance=tolerance)
+        else:
+            query = store.count("s", tolerance=tolerance)
+        index = 0 if distinct else None
+        rng = random.Random(20061013)
+        for step in range(500):
+            now = store.database.now
+            rows = list(table.read().rows())
+            roll = rng.random()
+            if roll < 0.45:
+                row = (rng.randrange(30), rng.randrange(6))
+                store.ingest("s", row, ttl=rng.randint(1, 20))
+            elif roll < 0.55 and rows:
+                # A renewal: re-insert a live row with a fresh lifetime.
+                store.ingest("s", rng.choice(rows), ttl=rng.randint(1, 20))
+            elif roll < 0.65 and rows:
+                assert store.touch("s", rng.choice(rows))
+            elif roll < 0.68:
+                table.insert((rng.randrange(30), 99), expires_at=INFINITY)
+            elif roll < 0.71 and rows:
+                table.override(
+                    rng.choice(rows), expires_at=now.value + rng.randint(0, 4)
+                )
+            elif roll < 0.73 and rows:
+                table.delete(rng.choice(rows))
+            else:
+                store.database.tick(rng.randint(1, 3))
+            cached = query.validity
+            served = query.read()
+            tau = store.database.now
+            texps = live_unit_texps(table, tau, index)
+            if query.validity is not cached:  # this read refreshed
+                assert (query._base, query.validity) == count_oracle(
+                    texps, tau, tolerance
+                )
+                assert served == len(texps)
+            else:
+                # Only expirations of units counted at the refresh drift.
+                drift = served - len(texps)
+                assert drift >= 0
+                assert tolerance.accepts(query._base, query._base - drift)
+
+    @pytest.mark.parametrize("distinct", [False, True], ids=["count", "distinct"])
+    def test_rescans_only_on_first_read_and_revocation(self, distinct):
+        store = make_store(ttl=10)
+        table = store.stream("s")
+        if distinct:
+            query = store.distinct("s", "key", tolerance=AbsoluteTolerance(2))
+        else:
+            query = store.count("s", tolerance=AbsoluteTolerance(2))
+        scans = []
+        live_items = query._live_items
+        query._live_items = lambda tau: scans.append(tau) or live_items(tau)
+        rng = random.Random(20061014)
+        for _ in range(40):
+            store.ingest("s", (rng.randrange(20), rng.randrange(5)))
+        query.read()
+        assert len(scans) == 1  # the first read
+        expected = 1
+        for step in range(400):
+            roll = rng.random()
+            if roll < 0.6:
+                store.ingest(
+                    "s",
+                    (rng.randrange(20), rng.randrange(5)),
+                    ttl=rng.randint(1, 15),
+                )
+            elif roll < 0.64:
+                rows = list(table.read().rows())
+                if rows:
+                    table.override(rng.choice(rows), ttl=rng.randint(0, 3))
+                    expected += 1  # the next read rescans, once
+            else:
+                store.database.tick(1)
+            query.read()
+            assert len(scans) == expected
+        refreshes = store.database.metrics.get(
+            "repro_streaming_query_refreshes_total"
+        )
+        # Plenty of refreshes ran off the heap alone.
+        assert refreshes.labels(query.name, "validity").value > 20
+
+
+@st.composite
+def extent_partitions(draw):
+    tau = draw(st.integers(0, 20))
+    members = draw(
+        st.lists(
+            st.tuples(
+                st.integers(-50, 50),
+                st.one_of(st.integers(tau + 1, tau + 40), st.just(INFINITY)),
+            ),
+            min_size=1,
+            max_size=25,
+        )
+    )
+    tolerance = draw(
+        st.one_of(
+            st.integers(0, 20).map(AbsoluteTolerance),
+            st.sampled_from([0.0, 0.05, 0.25, 1.0]).map(RelativeTolerance),
+        )
+    )
+    return tau, members, tolerance
+
+
+class TestExtentBand:
+    @settings(max_examples=300, deadline=None)
+    @given(extent_partitions())
+    def test_band_matches_min_and_max_validity(self, case):
+        """The one-pass band is ``approximate_validity`` of min and max."""
+        tau, members, tolerance = case
+        store = StreamStore()
+        store.create_stream("s", EVENT_SCHEMA, ttl=1)
+        store.database.tick(tau)
+        extent = store.extent("s", "value", tolerance=tolerance)
+        table = store.stream("s")
+        for key, (value, texp) in enumerate(members):
+            table.insert((key, value), expires_at=texp)
+        extent.read()
+        items = list(members)
+        expected = approximate_validity(
+            items, MinAggregate(), store.database.now, tolerance
+        ) & approximate_validity(
+            items, MaxAggregate(), store.database.now, tolerance
+        )
+        assert extent.validity == expected
