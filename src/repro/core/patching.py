@@ -33,7 +33,7 @@ from typing import Iterator, List, Optional, Tuple
 from repro.core.relation import Relation
 from repro.core.timestamps import INFINITY, TimeLike, Timestamp, ts
 from repro.core.tuples import Row
-from repro.errors import RelationError
+from repro.errors import RelationError, StaleViewError
 
 __all__ = ["Patch", "DifferencePatcher", "compute_difference_with_patches", "PatchedDifference"]
 
@@ -101,6 +101,11 @@ class DifferencePatcher:
             due = shed.due
             if due < self._guaranteed_until:
                 self._guaranteed_until = due
+
+    @property
+    def limit(self) -> Optional[int]:
+        """The queue bound, or ``None`` for an unbounded queue."""
+        return self._limit
 
     @property
     def guaranteed_until(self) -> Timestamp:
@@ -189,9 +194,13 @@ def compute_difference_with_patches(
     """
     stamp = ts(tau)
     left.schema.check_union_compatible(right.schema)
-    visible_left = left.exp_at(stamp)
-    visible_right = right.exp_at(stamp)
-    result = Relation(left.schema)
+    return _anti_semijoin(left.exp_at(stamp), right.exp_at(stamp), limit)
+
+
+def _anti_semijoin(
+    visible_left: Relation, visible_right: Relation, limit: Optional[int]
+) -> Tuple[Relation, DifferencePatcher]:
+    result = Relation(visible_left.schema)
     patches: List[Patch] = []
     for row, left_texp in visible_left.items():
         right_texp = visible_right.expiration_or_none(row)
@@ -206,6 +215,12 @@ def compute_difference_with_patches(
     return result, DifferencePatcher(patches, limit=limit)
 
 
+#: Kept rows may grow to twice the live count at the last purge (plus this
+#: slack) before expired rows are dropped; see
+#: :meth:`PatchedDifference._maybe_purge`.
+_PURGE_SLACK = 64
+
+
 class PatchedDifference:
     """A self-maintaining materialised difference (Theorem 3 end to end).
 
@@ -214,6 +229,14 @@ class PatchedDifference:
     relations again*: expired tuples drop out via ``exp_τ'`` and re-appearing
     tuples are injected from the patch queue.  With an unbounded queue the
     view is exact forever (expiration time ``∞``).
+
+    Base *inserts* need no recomputation either: :meth:`absorb_left` and
+    :meth:`absorb_right` apply an insert delta of one side with the
+    Theorem-3 rules, against the visible side relations kept here.  A
+    left row enters the result unless a live right match hides it (then
+    it is queued as a patch); a right row hides a visible left row, and
+    queues a patch if the left row outlives the match.  Every probe is a
+    point lookup plus ``τ < texp`` -- nothing is copied per delta row.
 
     >>> from repro.core.relation import relation_from_rows
     >>> L = relation_from_rows(["uid"], [((1,), 10), ((2,), 15)])
@@ -225,6 +248,12 @@ class PatchedDifference:
     [(1,), (2,)]
     >>> sorted(view.view_at(10).rows())  # 1 expired in L as well
     [(2,)]
+    >>> view.absorb_right(relation_from_rows(["uid"], [((2,), 12)]), now=10)
+    True
+    >>> sorted(view.view_at(11).rows())  # 2 hidden until its match expires
+    []
+    >>> sorted(view.view_at(12).rows())
+    [(2,)]
     """
 
     def __init__(
@@ -235,35 +264,202 @@ class PatchedDifference:
         limit: Optional[int] = None,
     ) -> None:
         self.tau = ts(tau)
-        self._materialised, self.patcher = compute_difference_with_patches(
-            left, right, tau=self.tau, limit=limit
-        )
+        left.schema.check_union_compatible(right.schema)
+        #: The visible sides ``exp(L)`` and ``exp(R)``, kept up to date by
+        #: the absorb methods (max-merge, exactly like the base relations).
+        self.left = left.exp_at(self.tau)
+        self.right = right.exp_at(self.tau)
+        self._materialised, self.patcher = _anti_semijoin(self.left, self.right, limit)
         self._last_viewed = self.tau
+        self._purge_at = self._kept() * 2 + _PURGE_SLACK
 
     @property
     def expiration(self) -> Timestamp:
         """``texp`` of the patched expression: ``∞`` unless patches were shed."""
         return self.patcher.guaranteed_until
 
+    @property
+    def materialised(self) -> Relation:
+        """The stored result (due patches not yet applied; expired rows
+        not yet hidden) -- read it through :meth:`view_at`."""
+        return self._materialised
+
+    @property
+    def floor(self) -> Timestamp:
+        """The latest time observed; reads before it are refused."""
+        return self._last_viewed
+
+    # -- insert deltas ---------------------------------------------------------
+
+    def absorb_left(self, delta: Relation, now: TimeLike) -> bool:
+        """Apply an insert delta of the left side at ``now``.
+
+        Returns ``False`` -- having changed nothing -- when a bounded queue
+        would have to shed a patch to take the delta; the caller then
+        recomputes instead, which keeps :attr:`expiration` as it was.
+        """
+        stamp = self._absorb_time(now)
+        left, right = self.left, self.right
+        live = [(row, texp) for row, texp in delta.items() if stamp < texp]
+        visible: List[Tuple[Row, Timestamp]] = []
+        patches: List[Patch] = []
+        for row, texp in live:
+            previous = left.expiration_or_none(row)
+            if previous is not None and texp <= previous:
+                continue  # max-merge: the row's lifetime does not change
+            match = right.expiration_or_none(row)
+            if match is None or not stamp < match:
+                visible.append((row, texp))
+            elif match < texp:
+                # Hidden by a live match; re-appears when the match expires.
+                patches.append(Patch(row, due=match, expires_at=texp))
+        if not self._has_room(len(patches)):
+            return False
+        left.bulk_load(live)
+        self._materialised.bulk_load(visible)
+        for patch in patches:
+            self.patcher.add(patch)
+        self._maybe_purge(stamp)
+        return True
+
+    def absorb_right(self, delta: Relation, now: TimeLike) -> bool:
+        """Apply an insert delta of the right side at ``now``.
+
+        Returns ``False`` without changing anything when a bounded queue
+        would have to shed a patch (see :meth:`absorb_left`).
+        """
+        stamp = self._absorb_time(now)
+        left, right = self.left, self.right
+        live = [(row, texp) for row, texp in delta.items() if stamp < texp]
+        hidden: List[Row] = []
+        patches: List[Patch] = []
+        for row, texp in live:
+            own = left.expiration_or_none(row)
+            if own is None or not stamp < own:
+                continue
+            previous = right.expiration_or_none(row)
+            if previous is not None and texp <= previous:
+                continue  # max-merge: the match's lifetime does not change
+            hidden.append(row)
+            if texp < own:
+                patches.append(Patch(row, due=texp, expires_at=own))
+        if not self._has_room(len(patches)):
+            return False
+        right.bulk_load(live)
+        for row in hidden:
+            self._materialised.delete(row)
+        for patch in patches:
+            self.patcher.add(patch)
+        self._maybe_purge(stamp)
+        return True
+
+    def _has_room(self, extra: int) -> bool:
+        limit = self.patcher.limit
+        return limit is None or len(self.patcher) + extra <= limit
+
+    def _absorb_time(self, now: TimeLike) -> Timestamp:
+        """The time an insert delta is judged at: ``now``, or the floor.
+
+        A delta arriving behind the floor (a read already looked further
+        ahead) is judged at the floor: nothing earlier is observed again,
+        and a match still live there is patched in once it expires.
+        """
+        stamp = ts(now)
+        if stamp < self._last_viewed:
+            return self._last_viewed
+        self._last_viewed = stamp
+        return stamp
+
+    # -- reading ---------------------------------------------------------------
+
     def view_at(self, now: TimeLike) -> Relation:
         """The exact difference as of ``now`` (``now`` must not go backwards)."""
+        stamp = self._apply_due(now)
+        return self._materialised.exp_at(stamp)
+
+    def contains(self, row: Row, now: TimeLike) -> bool:
+        """Whether ``row`` is in the difference at ``now`` (one lookup)."""
+        stamp = self._apply_due(now)
+        texp = self._materialised.expiration_or_none(row)
+        return texp is not None and stamp < texp
+
+    def _apply_due(self, now: TimeLike) -> Timestamp:
         stamp = ts(now)
         if stamp < self._last_viewed:
             raise RelationError(
                 f"view time moved backwards: {stamp} < {self._last_viewed}"
             )
         if not self.patcher.guaranteed_until > stamp:
-            from repro.errors import StaleViewError
-
             raise StaleViewError(
                 f"patch queue was truncated; view only guaranteed before "
                 f"{self.patcher.guaranteed_until}"
             )
-        self.patcher.apply_to(self._materialised, stamp)
         self._last_viewed = stamp
-        return self._materialised.exp_at(stamp)
+        right, materialised = self.right, self._materialised
+        applied = 0
+        # Longest-lived first: when a row has several due patches (a later
+        # left insert queued another), one insert serves them all.
+        due = self.patcher.due_patches(stamp)
+        for patch in sorted(due, key=lambda patch: patch.expires_at, reverse=True):
+            if not stamp < patch.expires_at:
+                continue
+            # The patch was queued against the right side of its time; a
+            # later right insert may have extended the match since.
+            match = right.expiration_or_none(patch.row)
+            if match is not None and stamp < match:
+                if match < patch.expires_at:
+                    self.patcher.add(Patch(patch.row, match, patch.expires_at))
+                continue
+            current = materialised.expiration_or_none(patch.row)
+            if current is not None and patch.expires_at <= current:
+                continue  # a later left insert already made it visible
+            materialised.insert(patch.row, expires_at=patch.expires_at)
+            applied += 1
+        self.patcher.applied += applied
+        self._maybe_purge(stamp)
+        return stamp
+
+    def peek_at(self, now: TimeLike) -> Relation:
+        """What :meth:`view_at` would return at ``now``, changing nothing.
+
+        The read-only twin for auditing: due patches are replayed against
+        a copy of the materialisation with the same right-side re-check.
+        """
+        stamp = ts(now)
+        state = self._materialised.copy()
+        right = self.right
+        for patch in self.patcher.pending():
+            if patch.due <= stamp < patch.expires_at:
+                match = right.expiration_or_none(patch.row)
+                if match is None or not stamp < match:
+                    state.insert(patch.row, expires_at=patch.expires_at)
+        return state.exp_at(stamp)
+
+    # -- space -----------------------------------------------------------------
+
+    def _kept(self) -> int:
+        return len(self.left) + len(self.right) + len(self._materialised)
+
+    def _maybe_purge(self, stamp: Timestamp) -> None:
+        """Drop rows expired at ``stamp`` once the kept rows have doubled.
+
+        Nothing is ever observed before ``stamp`` again, so expired rows
+        only cost space.  Purging whenever the kept rows reach twice the
+        live count of the last purge amortises the scan to O(1) per row
+        and bounds :attr:`storage_size` by about twice the live rows plus
+        the pending patches.
+        """
+        if self._kept() <= self._purge_at:
+            return
+        for relation in (self.left, self.right, self._materialised):
+            relation.purge_expired(stamp)
+        self._purge_at = self._kept() * 2 + _PURGE_SLACK
 
     @property
     def storage_size(self) -> int:
-        """Materialised tuples plus pending patches (the space trade-off)."""
+        """Materialised tuples plus pending patches (the space trade-off).
+
+        The visible sides kept for :meth:`absorb_left`/:meth:`absorb_right`
+        are not counted; they are purged of expired rows the same way.
+        """
         return len(self._materialised) + len(self.patcher)

@@ -15,7 +15,9 @@ module implements insert-propagation on top of the expiration machinery:
   left-side delta row enters the view unless currently matched in R (in
   which case it becomes a *patch*, due when the match expires); a
   right-side delta row can knock a visible tuple out of the view --
-  re-scheduling it as a patch if it outlives the new match.
+  re-scheduling it as a patch if it outlives the new match.  These rules
+  live in :class:`~repro.core.patching.PatchedDifference`, which a PATCH
+  :class:`~repro.engine.views.MaterialisedView` shares.
 * **Aggregation** over a monotonic, base-linear child: the child state is
   maintained incrementally and only the *affected partitions* are
   re-aggregated.
@@ -29,7 +31,7 @@ recomputed, while touching only deltas on the hot path -- the bench
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Optional, Set, Tuple
 
 from repro.core.aggregates import get_aggregate, strategy_expiration
 from repro.core.algebra.evaluator import Evaluator
@@ -40,14 +42,16 @@ from repro.core.algebra.expressions import (
     Expression,
     Literal,
 )
-from repro.core.patching import DifferencePatcher, Patch
+from repro.core.patching import PatchedDifference
 from repro.core.relation import Relation
 from repro.core.timestamps import TimeLike, Timestamp, ts
 from repro.core.tuples import ExpiringTuple, Row, make_row
-from repro.engine.database import Database
 from repro.errors import ViewError
 
-__all__ = ["IncrementalView", "supports_incremental"]
+if TYPE_CHECKING:  # pragma: no cover - typing-only import cycle guard
+    from repro.engine.database import Database
+
+__all__ = ["IncrementalView", "absorb_insert", "insert_delta", "supports_incremental"]
 
 
 def _is_base_linear(expression: Expression) -> bool:
@@ -76,6 +80,49 @@ def supports_incremental(expression: Expression) -> bool:
     return False
 
 
+def insert_delta(
+    database: "Database",
+    expression: Expression,
+    base_name: str,
+    stored: ExpiringTuple,
+    now: Timestamp,
+) -> Relation:
+    """``expression`` with base ``base_name`` replaced by the one inserted tuple.
+
+    For a monotonic expression that references ``base_name`` once, this is
+    exactly what the insert adds to the expression's result.
+    """
+    singleton = Relation(database.table(base_name).schema)
+    singleton.insert(stored.row, expires_at=stored.expires_at)
+
+    def catalog(name: str) -> Relation:
+        if name == base_name:
+            return singleton
+        return database.table(name).relation
+
+    return Evaluator(catalog, now).evaluate(expression).relation
+
+
+def absorb_insert(
+    database: "Database",
+    difference: Difference,
+    patched: PatchedDifference,
+    base_name: str,
+    stored: ExpiringTuple,
+    now: Timestamp,
+) -> bool:
+    """Apply one base insert to the patched state of ``difference``.
+
+    Returns ``False`` when a bounded patch queue has no room for it (see
+    :meth:`PatchedDifference.absorb_left`); nothing changed then.
+    """
+    if base_name in difference.left.base_names():
+        delta = insert_delta(database, difference.left, base_name, stored, now)
+        return patched.absorb_left(delta, now)
+    delta = insert_delta(database, difference.right, base_name, stored, now)
+    return patched.absorb_right(delta, now)
+
+
 class IncrementalView:
     """A self-maintaining materialisation that also absorbs base inserts.
 
@@ -84,7 +131,7 @@ class IncrementalView:
     maintenance happened incrementally.
     """
 
-    def __init__(self, database: Database, name: str, expression: Expression) -> None:
+    def __init__(self, database: "Database", name: str, expression: Expression) -> None:
         if not supports_incremental(expression):
             raise ViewError(
                 f"incremental view {name!r}: unsupported expression shape "
@@ -104,10 +151,8 @@ class IncrementalView:
             else "aggregate" if isinstance(expression, Aggregate) else "monotonic"
         )
         self._state: Relation
-        self._left_state: Optional[Relation] = None
-        self._right_state: Optional[Relation] = None
+        self._difference: Optional[PatchedDifference] = None
         self._child_state: Optional[Relation] = None
-        self._patcher = DifferencePatcher()
         self._last_read = database.clock.now
 
         self._rebuild()
@@ -122,16 +167,11 @@ class IncrementalView:
         evaluator = Evaluator(self.database.catalog, now)
         if self._kind == "difference":
             assert isinstance(self.expression, Difference)
-            self._left_state = evaluator.evaluate(self.expression.left).relation
-            self._right_state = evaluator.evaluate(self.expression.right).relation
-            self._state = Relation(self._left_state.schema)
-            self._patcher = DifferencePatcher()
-            for row, left_texp in self._left_state.items():
-                right_texp = self._right_state.expiration_or_none(row)
-                if right_texp is None:
-                    self._state.insert(row, expires_at=left_texp)
-                elif right_texp < left_texp:
-                    self._patcher.add(Patch(row, right_texp, left_texp))
+            self._difference = PatchedDifference(
+                evaluator.evaluate(self.expression.left).relation,
+                evaluator.evaluate(self.expression.right).relation,
+                tau=now,
+            )
         elif self._kind == "aggregate":
             assert isinstance(self.expression, Aggregate)
             self._child_state = evaluator.evaluate(self.expression.child).relation
@@ -201,47 +241,24 @@ class IncrementalView:
             return  # a refresh is pending anyway
         now = self.database.clock.now
         if self._kind == "monotonic":
-            delta = self._delta(self.expression, table.name, stored, now)
+            delta = insert_delta(self.database, self.expression, table.name, stored, now)
             for row, texp in delta.items():
                 self._state.insert(row, expires_at=texp)
             self.delta_applications += 1
             return
 
         if self._kind == "difference":
-            assert isinstance(self.expression, Difference)
-            assert self._left_state is not None and self._right_state is not None
-            if table.name in self.expression.left.base_names():
-                delta = self._delta(self.expression.left, table.name, stored, now)
-                for row, left_texp in delta.items():
-                    self._left_state.insert(row, expires_at=left_texp)
-                    effective = self._left_state.expiration_of(row)
-                    right_texp = self._right_state.exp_at(now).expiration_or_none(row)
-                    if right_texp is None:
-                        self._state.insert(row, expires_at=effective)
-                    else:
-                        # Matched in R: hidden now; maybe re-appears later.
-                        self._state.delete(row)
-                        if right_texp < effective:
-                            self._patcher.add(Patch(row, right_texp, effective))
-            else:
-                delta = self._delta(self.expression.right, table.name, stored, now)
-                for row, right_texp in delta.items():
-                    self._right_state.insert(row, expires_at=right_texp)
-                    effective = self._right_state.expiration_of(row)
-                    left_texp = self._left_state.exp_at(now).expiration_or_none(row)
-                    if left_texp is None:
-                        continue
-                    # The new match hides the tuple (it may be visible now).
-                    self._state.delete(row)
-                    if effective < left_texp:
-                        self._patcher.add(Patch(row, effective, left_texp))
+            assert isinstance(self.expression, Difference) and self._difference is not None
+            absorb_insert(
+                self.database, self.expression, self._difference, table.name, stored, now
+            )
             self.delta_applications += 1
             return
 
         # aggregate
         assert isinstance(self.expression, Aggregate)
         assert self._child_state is not None
-        delta = self._delta(self.expression.child, table.name, stored, now)
+        delta = insert_delta(self.database, self.expression.child, table.name, stored, now)
         touched: Set[Tuple] = set()
         for row, texp in delta.items():
             self._child_state.insert(row, expires_at=texp)
@@ -249,24 +266,6 @@ class IncrementalView:
         for key in touched:
             self._reaggregate_partition(key, now)
         self.delta_applications += 1
-
-    def _delta(
-        self,
-        expression: Expression,
-        base_name: str,
-        stored: ExpiringTuple,
-        now: Timestamp,
-    ) -> Relation:
-        """``e`` with ``base_name`` replaced by the singleton delta."""
-        singleton = Relation(self.database.table(base_name).schema)
-        singleton.insert(stored.row, expires_at=stored.expires_at)
-
-        def catalog(name: str) -> Relation:
-            if name == base_name:
-                return singleton
-            return self.database.table(name).relation
-
-        return Evaluator(catalog, now).evaluate(expression).relation
 
     def _on_delete(self, table, row: Row) -> None:
         # Explicit deletes are rare in this model; fall back to refresh.
@@ -282,9 +281,8 @@ class IncrementalView:
         self._last_read = stamp
         if self._stale:
             self._rebuild()
-        if self._kind == "difference":
-            self._apply_due_patches(stamp)
-            return self._state.exp_at(stamp)
+        if self._difference is not None:
+            return self._difference.view_at(stamp)
         if self._kind == "aggregate":
             return self._read_aggregate(stamp)
         return self._state.exp_at(stamp)
@@ -304,25 +302,12 @@ class IncrementalView:
         row = make_row(values)
         if self._stale:
             self._rebuild()
-        if self._kind == "difference":
-            self._apply_due_patches(stamp)
-        elif self._kind == "aggregate":
+        if self._difference is not None:
+            return self._difference.contains(row, stamp)
+        if self._kind == "aggregate":
             return self._read_aggregate(stamp).contains(row)
         texp = self._state.expiration_or_none(row)
         return texp is not None and stamp < texp
-
-    def _apply_due_patches(self, stamp: Timestamp) -> None:
-        assert self._right_state is not None
-        for patch in self._patcher.due_patches(stamp):
-            if not stamp < patch.expires_at:
-                continue
-            # The patch was computed against the right state at queue time;
-            # a later right-side insert may have extended the match.
-            right_texp = self._right_state.exp_at(stamp).expiration_or_none(patch.row)
-            if right_texp is None:
-                self._state.insert(patch.row, expires_at=patch.expires_at)
-            elif right_texp < patch.expires_at:
-                self._patcher.add(Patch(patch.row, right_texp, patch.expires_at))
 
     def _read_aggregate(self, stamp: Timestamp) -> Relation:
         # Partitions whose membership shrank since materialisation need

@@ -15,9 +15,14 @@ synchrony purely through expiration times.
     recompute only in the genuinely invalid gaps (Section 3.4);
   - :attr:`MaintenancePolicy.PATCH` -- Theorem 3, for difference-rooted
     expressions over monotonic children: keep the helper priority queue
-    and patch re-appearing tuples in; *never* recompute.
+    and patch re-appearing tuples in; *never* recompute.  Base inserts are
+    absorbed by the same rules (:class:`~repro.core.patching.PatchedDifference`)
+    when both sides are monotonic, base-linear and base-disjoint, so a
+    PATCH view recomputes only on an explicit delete, an override, a
+    rolled-back insert, or an insert a bounded queue has no room for.
 
-Reads are counted so benches can report recomputations avoided.
+Any other base insert or explicit delete marks a view stale; its next read
+refreshes.  Reads are counted so benches can report recomputations avoided.
 """
 
 from __future__ import annotations
@@ -28,10 +33,11 @@ from typing import TYPE_CHECKING, Optional
 from repro.core.algebra.evaluator import EvalResult
 from repro.core.algebra.expressions import Difference, Expression
 from repro.core.intervals import IntervalSet
-from repro.core.patching import DifferencePatcher, compute_difference_with_patches
+from repro.core.patching import PatchedDifference
 from repro.core.relation import Relation
 from repro.core.timestamps import INFINITY, TimeLike, Timestamp, ts
-from repro.core.tuples import make_row
+from repro.core.tuples import ExpiringTuple, make_row
+from repro.engine.maintenance import absorb_insert, supports_incremental
 from repro.errors import StaleViewError, ViewError
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import cycle guard
@@ -75,12 +81,16 @@ class MaterialisedView:
         self.patches_applied = 0
         self._patch_limit = patch_limit
         self._result: Optional[EvalResult] = None
-        self._patch_state: Optional[Relation] = None
-        self._patcher: Optional[DifferencePatcher] = None
-        self._last_read = database.clock.now
-        #: Set by base-table listeners on inserts / explicit deletes; the
-        #: next read refreshes instead of serving the stale materialisation.
+        self._patched: Optional[PatchedDifference] = None
+        #: Set by base-table listeners on explicit deletes and on inserts
+        #: the view does not absorb; the next read refreshes instead of
+        #: serving the stale materialisation.
         self._stale = False
+        #: A PATCH view whose sides take insert deltas by the Theorem-3
+        #: rules instead of going stale.
+        self._absorbs = policy is MaintenancePolicy.PATCH and supports_incremental(
+            expression
+        )
         #: Callables ``(view)`` notified after every (re-)materialisation;
         #: the server's subscription layer hangs off this to learn that
         #: shipped state may have drifted without polling every view.
@@ -108,7 +118,17 @@ class MaterialisedView:
         return self._patch_limit
 
     def _on_base_mutation(self, table, payload) -> None:
-        self._stale = True
+        # Insert listeners pass the stored ExpiringTuple, delete listeners
+        # (explicit deletes, overrides, rollbacks) the bare row.
+        if self._stale or not (self._absorbs and isinstance(payload, ExpiringTuple)):
+            self._stale = True
+            return
+        assert isinstance(self.expression, Difference) and self._patched is not None
+        if not absorb_insert(
+            self.database, self.expression, self._patched, table.name, payload,
+            self.database.clock.now,
+        ):
+            self._stale = True  # a bounded queue had no room: recompute
 
     def _unsubscribe(self) -> None:
         """Detach the base-table listeners (called on ``drop_view``)."""
@@ -154,15 +174,15 @@ class MaterialisedView:
                 # of the whole Difference.
                 left = self.database.evaluate(self.expression.left, at=stamp).relation
                 right = self.database.evaluate(self.expression.right, at=stamp).relation
-                self._patch_state, self._patcher = compute_difference_with_patches(
+                self._patched = PatchedDifference(
                     left, right, tau=stamp, limit=self._patch_limit
                 )
                 validity = IntervalSet.from_onwards(stamp)
-                horizon = self._patcher.guaranteed_until
+                horizon = self._patched.expiration
                 if horizon.is_finite:
                     validity = validity - IntervalSet.from_onwards(horizon)
                 self._result = EvalResult(
-                    relation=self._patch_state,
+                    relation=self._patched.materialised,
                     expiration=horizon,
                     validity=validity,
                     tau=stamp,
@@ -171,15 +191,14 @@ class MaterialisedView:
                 self._result = self.database.evaluate(self.expression, at=stamp)
             span.note(rows=len(self._result.relation))
         self._stale = False
-        self._last_read = stamp
         for listener in self.refresh_listeners:
             listener(self)
 
     @property
     def expiration(self) -> Timestamp:
         """``texp(e)`` of the current materialisation (``∞`` for PATCH)."""
-        if self.policy is MaintenancePolicy.PATCH and self._patcher is not None:
-            return self._patcher.guaranteed_until
+        if self._patched is not None:
+            return self._patched.expiration
         assert self._result is not None
         return self._result.expiration
 
@@ -193,10 +212,9 @@ class MaterialisedView:
     def storage_size(self) -> int:
         """Materialised tuples (plus pending patches under PATCH)."""
         assert self._result is not None
-        size = len(self._result.relation)
-        if self._patcher is not None and self._patch_state is not None:
-            size = len(self._patch_state) + len(self._patcher)
-        return size
+        if self._patched is not None:
+            return self._patched.storage_size
+        return len(self._result.relation)
 
     # -- reading ------------------------------------------------------------------
 
@@ -266,9 +284,9 @@ class MaterialisedView:
         if self._stale:
             self.refresh(stamp)
             fresh = True
-        elif self.policy is MaintenancePolicy.PATCH and not self.is_monotonic:
+        elif self._patched is not None:
             # Patches can re-introduce rows; apply the due ones first.
-            return self._read_patched(stamp).contains(row)
+            return self._read_patched(stamp, row)
         elif not self.is_monotonic:
             if self.policy is MaintenancePolicy.RECOMPUTE:
                 if not stamp < self._result.expiration:
@@ -287,7 +305,6 @@ class MaterialisedView:
         if not fresh:
             self.reads_from_materialisation += 1
             self.database.statistics.view_reads_from_materialisation += 1
-        self._last_read = stamp
         return relation.exp_at(stamp)
 
     def _audit_serveable(self, stamp: Timestamp) -> Optional[Relation]:
@@ -302,15 +319,10 @@ class MaterialisedView:
             return None
         if self.is_monotonic:
             return self._result.relation.exp_at(stamp)
-        if self.policy is MaintenancePolicy.PATCH:
-            assert self._patcher is not None and self._patch_state is not None
-            if stamp < self._last_read or not self._patcher.guaranteed_until > stamp:
+        if self._patched is not None:
+            if stamp < self._patched.floor or not self._patched.expiration > stamp:
                 return None
-            state = self._patch_state.copy()
-            for patch in self._patcher.pending():
-                if patch.due <= stamp < patch.expires_at:
-                    state.insert(patch.row, expires_at=patch.expires_at)
-            return state.exp_at(stamp)
+            return self._patched.peek_at(stamp)
         if self.policy is MaintenancePolicy.RECOMPUTE:
             if stamp < self._result.expiration:
                 return self._result.relation.exp_at(stamp)
@@ -320,26 +332,30 @@ class MaterialisedView:
             return self._result.relation.exp_at(stamp)
         return None
 
-    def _read_patched(self, stamp: Timestamp) -> Relation:
-        assert self._patcher is not None and self._patch_state is not None
-        if stamp < self._last_read:
+    def _read_patched(self, stamp: Timestamp, row=None):
+        """The patched content at ``stamp`` -- or, given ``row``, whether
+        the row is in it (one lookup instead of a copy)."""
+        patched = self._patched
+        assert patched is not None
+        if stamp < patched.floor:
             raise ViewError(
                 f"view {self.name!r}: patched reads cannot go back in time "
-                f"({stamp} < {self._last_read})"
+                f"({stamp} < {patched.floor})"
             )
-        if not self._patcher.guaranteed_until > stamp:
+        if not patched.expiration > stamp:
             raise StaleViewError(
                 f"view {self.name!r}: patch queue was truncated; the "
                 f"materialisation is only guaranteed before "
-                f"{self._patcher.guaranteed_until}"
+                f"{patched.expiration}"
             )
-        applied = self._patcher.apply_to(self._patch_state, stamp)
+        before = patched.patcher.applied
+        answer = patched.view_at(stamp) if row is None else patched.contains(row, stamp)
+        applied = patched.patcher.applied - before
         self.patches_applied += applied
         self.database.statistics.view_patches_applied += applied
         self.reads_from_materialisation += 1
         self.database.statistics.view_reads_from_materialisation += 1
-        self._last_read = stamp
-        return self._patch_state.exp_at(stamp)
+        return answer
 
     def __repr__(self) -> str:
         return (

@@ -222,3 +222,135 @@ class TestBoundedHeap:
         expected_horizon = ts(min(shed)) if shed else INFINITY
         assert patcher.guaranteed_until == expected_horizon
         assert len(patcher) == 0
+
+
+def _difference_at(left, right, when):
+    """``exp_when(L) −exp exp_when(R)`` with expirations, from scratch."""
+    visible_right = right.exp_at(when)
+    return {
+        row: texp
+        for row, texp in left.exp_at(when).items()
+        if visible_right.expiration_or_none(row) is None
+    }
+
+
+class TestAbsorb:
+    def test_left_row_enters_unless_hidden(self):
+        left = relation_from_rows(["a"], [])
+        right = relation_from_rows(["a"], [((1,), 5)])
+        view = PatchedDifference(left, right, tau=0)
+        assert view.absorb_left(relation_from_rows(["a"], [((1,), 9), ((2,), 9)]), 0)
+        assert set(view.view_at(0).rows()) == {(2,)}  # 1 hidden by its match
+        assert [p.due for p in view.patcher.pending()] == [ts(5)]
+        assert set(view.view_at(5).rows()) == {(1,), (2,)}
+
+    def test_right_row_hides_and_patches_only_if_outlived(self):
+        left = relation_from_rows(["a"], [((1,), 10), ((2,), 10)])
+        view = PatchedDifference(left, relation_from_rows(["a"], []), tau=0)
+        assert view.absorb_right(relation_from_rows(["a"], [((1,), 4), ((2,), 20)]), 1)
+        assert set(view.view_at(1).rows()) == set()
+        assert [p.row for p in view.patcher.pending()] == [(1,)]  # 2 never returns
+        assert set(view.view_at(4).rows()) == {(1,)}
+        assert set(view.view_at(10).rows()) == set()
+
+    def test_due_patch_rechecks_an_extended_match(self):
+        left = relation_from_rows(["a"], [((1,), 30)])
+        right = relation_from_rows(["a"], [((1,), 5)])
+        view = PatchedDifference(left, right, tau=0)
+        assert view.absorb_right(relation_from_rows(["a"], [((1,), 12)]), 3)
+        assert set(view.view_at(6).rows()) == set()
+        assert set(view.view_at(12).rows()) == {(1,)}
+        assert view.patcher.applied == 1
+
+    def test_shorter_left_reinsert_queues_nothing(self):
+        left = relation_from_rows(["a"], [((1,), 30)])
+        right = relation_from_rows(["a"], [((1,), 10)])
+        view = PatchedDifference(left, right, tau=0)
+        # Max-merge: the row still lives to 30, and its patch already says so.
+        assert view.absorb_left(relation_from_rows(["a"], [((1,), 20)]), 1)
+        assert [p.expires_at for p in view.patcher.pending()] == [ts(30)]
+        assert dict(view.view_at(10).items()) == {(1,): ts(30)}
+
+    def test_bounded_queue_refuses_a_shedding_absorb(self):
+        left = relation_from_rows(["a"], [((1,), 20), ((2,), 20)])
+        right = relation_from_rows(["a"], [((1,), 5)])
+        view = PatchedDifference(left, right, tau=0, limit=1)
+        before = (view.left.copy(), view.right.copy(), view.materialised.copy())
+        assert not view.absorb_right(relation_from_rows(["a"], [((2,), 8)]), 1)
+        assert view.left == before[0] and view.right == before[1]
+        assert view.materialised == before[2]
+        assert len(view.patcher) == 1 and view.expiration == INFINITY
+        # A delta that queues nothing still fits.
+        assert view.absorb_right(relation_from_rows(["a"], [((3,), 8)]), 1)
+
+    def test_absorb_never_copies_a_relation(self, monkeypatch):
+        from repro.core.relation import Relation
+
+        left = relation_from_rows(["a"], [((k,), 50) for k in range(0, 40, 2)])
+        right = relation_from_rows(["a"], [((k,), 25) for k in range(0, 40, 3)])
+        view = PatchedDifference(left, right, tau=0)
+        calls = []
+        original = Relation.exp_at
+        monkeypatch.setattr(
+            Relation, "exp_at", lambda self, tau: calls.append(tau) or original(self, tau)
+        )
+        for k in range(40):
+            delta = relation_from_rows(["a"], [((k,), 30 + k)])
+            absorb = view.absorb_left if k % 2 else view.absorb_right
+            assert absorb(delta, k // 4)
+        assert calls == []
+        monkeypatch.undo()
+        assert set(view.view_at(10).rows()) == set(_difference_at(view.left, view.right, 10))
+
+    def test_churn_keeps_storage_bounded(self):
+        import random
+
+        rng = random.Random(7)
+        view = PatchedDifference(
+            relation_from_rows(["a"], []), relation_from_rows(["a"], []), tau=0
+        )
+        peak_live = 0
+        for now in range(3000):
+            for _ in range(3):
+                delta = relation_from_rows(["a"], [((rng.randrange(10**6),), now + rng.randint(1, 20))])
+                absorb = view.absorb_left if rng.random() < 0.7 else view.absorb_right
+                assert absorb(delta, now)
+            view.view_at(now)
+            live = sum(
+                len(relation.exp_at(now))
+                for relation in (view.left, view.right, view.materialised)
+            )
+            peak_live = max(peak_live, live)
+            kept = len(view.left) + len(view.right) + len(view.materialised)
+            assert kept <= 2 * peak_live + 64 + 6, now
+        # 9 000 rows went in; only about the live ones are kept.
+        assert view.storage_size <= 2 * peak_live + 64 + len(view.patcher)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        left=relations(),
+        right=relations(),
+        steps=st.lists(
+            st.tuples(st.sampled_from(["L", "R", "read"]), relations(max_size=3),
+                      st.integers(min_value=0, max_value=3)),
+            max_size=12,
+        ),
+    )
+    def test_absorbed_view_always_equals_recomputation(self, left, right, steps):
+        """Absorbing insert deltas of either side keeps the patched view
+        equal to a from-scratch difference over the merged sides."""
+        view = PatchedDifference(left, right, tau=0)
+        truth_left, truth_right = left.copy(), right.copy()
+        now = 0
+        for side, delta, gap in steps:
+            now += gap
+            delta = delta.exp_at(now)
+            if side == "L":
+                assert view.absorb_left(delta, now)
+                truth_left.bulk_load(delta.items())
+            elif side == "R":
+                assert view.absorb_right(delta, now)
+                truth_right.bulk_load(delta.items())
+            expected = _difference_at(truth_left, truth_right, now)
+            assert dict(view.peek_at(now).items()) == expected
+            assert dict(view.view_at(now).items()) == expected
