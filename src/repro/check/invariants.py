@@ -18,7 +18,11 @@ Structural (cheap, pure bookkeeping walks):
   partitioned table lives in the shard ``hash(row[key]) % N`` says it
   should (a misrouted row is invisible to point reads and sweeps);
 * ``physical-covers-live`` -- a table never reports more live tuples than
-  it physically stores.
+  it physically stores;
+* ``equality-index-stored`` -- every equality bucket a probed row
+  relation has built holds exactly the stored rows with that value, in
+  storage order (a stale bucket makes compiled point reads and
+  ``DELETE``/``RENEW``/``UPDATE ... WHERE k = c`` miss or resurrect rows).
 
 Deep (re-evaluation; quadratic-ish, for tests and fuzzing):
 
@@ -47,6 +51,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.algebra.evaluator import Evaluator
+from repro.core.relation import Relation, bucket_rows
 from repro.core.timestamps import ts
 from repro.engine.partitioning import PartitionedTable
 
@@ -251,6 +256,31 @@ def _physical_covers_live(db: "Database") -> Iterator[Violation]:
                 name,
                 f"{live} live tuples but only {physical} stored",
             )
+
+
+@_structural("equality-index-stored")
+def _equality_index_stored(db: "Database") -> Iterator[Violation]:
+    for name in db.table_names():
+        relation = db.table(name).relation
+        if type(relation) is not Relation or not relation._buckets:
+            continue  # only flat row relations build an index, on a probe
+        for index, buckets in relation._buckets.items():
+            kept = {value: list(rows) for value, rows in buckets.items()}
+            fresh = {
+                value: list(rows)
+                for value, rows in bucket_rows(relation._tuples, index).items()
+            }
+            if kept != fresh:
+                stale = sorted(
+                    repr(value) for value in set(kept) | set(fresh)
+                    if kept.get(value) != fresh.get(value)
+                )
+                yield Violation(
+                    "equality-index-stored",
+                    f"{name}[attribute {index + 1}]",
+                    f"buckets for {', '.join(stale)} differ from the stored "
+                    f"rows",
+                )
 
 
 # -- deep checks -------------------------------------------------------------

@@ -17,6 +17,11 @@ closures that is then executed many times:
 * **Predicate compilation** -- predicates resolve to index-bound Python
   closures once per plan, instead of walking the predicate AST per row per
   evaluation.
+* **Equality probes** -- a ``Select`` straight over a flat row base
+  relation whose predicate has an ``attr = constant`` conjunct reads only
+  that value's bucket of the relation's lazily built equality index
+  (:meth:`Relation.rows_where`) instead of scanning every stored row; the
+  full predicate still filters the bucket.
 * **Bulk kernels** -- joins build hash buckets in single-pass loops over
   the raw streams; semi/anti-joins keep only the running ``max`` per key
   instead of full match lists; non-monotonic operators collect their
@@ -102,7 +107,9 @@ __all__ = [
     "CompiledEvaluator",
     "compile_expression",
     "compile_predicate",
+    "equality_probe",
     "evaluate_compiled",
+    "select_rows",
 ]
 
 #: A pipeline stage's payload: (row, expiration) pairs, possibly with
@@ -167,6 +174,74 @@ def _closure(predicate: Predicate) -> Callable[[tuple], bool]:
     if isinstance(predicate, TruePredicate):
         return lambda row: True
     raise EvaluationError(f"uncompilable predicate {type(predicate).__name__}")
+
+
+def equality_probe(predicate: Predicate) -> Optional[Tuple[int, Any]]:
+    """``(0-based attribute, constant)`` of an ``attr = constant`` conjunct.
+
+    ``predicate`` must be resolved.  The first such conjunct of a top-level
+    conjunction (or the predicate itself), in either operand order, with a
+    hashable constant; ``None`` when there is none -- a disjunction or
+    negation never yields a probe.
+    """
+    if isinstance(predicate, And):
+        for child in predicate.children:
+            found = equality_probe(child)
+            if found is not None:
+                return found
+        return None
+    if not isinstance(predicate, Comparison) or predicate.op != "=":
+        return None
+    left, right = predicate.left, predicate.right
+    if isinstance(right, Attribute):
+        left, right = right, left
+    if not isinstance(left, Attribute) or not isinstance(right, Constant):
+        return None
+    try:
+        hash(right.value)
+    except TypeError:
+        return None
+    return left.ref - 1, right.value
+
+
+def _probe_bucket(relation: Relation, probe: Optional[Tuple[int, Any]]):
+    """The rows ``probe`` selects from ``relation``, or ``None`` to scan.
+
+    Only flat row relations carry an equality index; columnar and
+    sharded ones are scanned.
+    """
+    if probe is None or type(relation) is not Relation:
+        return None
+    return relation.rows_where(*probe)
+
+
+def _bucket_pairs(
+    relation: Relation, bucket, tau: Timestamp
+) -> Iterator[Tuple[tuple, Timestamp]]:
+    """The unexpired ``(row, texp)`` pairs of one equality bucket."""
+    tuples = relation._tuples
+    for row in bucket:
+        texp = tuples[row]
+        if tau < texp:
+            yield row, texp
+
+
+def select_rows(relation: Relation, predicate: Predicate, tau: TimeLike) -> List[tuple]:
+    """The rows of ``exp_τ(relation)`` satisfying ``predicate`` (resolved).
+
+    The statement-level form of a compiled ``σ`` over a base relation,
+    probing the equality index when :func:`equality_probe` finds a
+    conjunct and scanning otherwise.  The rows are returned as a list, so
+    callers may mutate the relation while walking them.
+    """
+    stamp = ts(tau)
+    matches = _closure(predicate)
+    bucket = _probe_bucket(relation, equality_probe(predicate))
+    if bucket is None:
+        pairs = relation.items()
+    else:
+        pairs = _bucket_pairs(relation, bucket, stamp)
+    return [row for row, texp in pairs if stamp < texp and matches(row)]
 
 
 # ---------------------------------------------------------------------------
@@ -847,13 +922,43 @@ class _Compiler:
     def _compile_select(self, node: Select) -> _Runner:
         child = self.compile(node.child)
         child_schema = self.schema_of(node.child)
-        matches = compile_predicate(node.predicate, child_schema)
-        mask_build = _compile_mask(node.predicate.resolve(child_schema))
+        resolved = node.predicate.resolve(child_schema)
+        matches = _closure(resolved)
+        mask_build = _compile_mask(resolved)
         dup_free = self.dup_free(node)
+        probe = None
+        if isinstance(node.child, BaseRef):
+            probe = equality_probe(resolved)
+            base_name = node.child.name
+            base_label = operator_label(node.child)
+
+        def probed(ctx: _Context) -> Optional[_Stream]:
+            # Stands in for the base scan when the relation has an index:
+            # the same counters and span name, billed with the bucket.
+            relation = ctx.lookup(base_name)
+            started = time.perf_counter()
+            bucket = _probe_bucket(relation, probe)
+            if bucket is None:
+                return None
+            ctx.stats.operators_evaluated += 1
+            ctx.stats.tuples_scanned += len(bucket)
+            tau = ctx.tau
+            pairs = _bucket_pairs(relation, bucket, tau)
+            if ctx.trace is not None:
+                span = ctx.trace.child(
+                    base_label, stage="index_probe", attribute=probe[0] + 1,
+                    candidates=len(bucket),
+                )
+                # A first probe of the attribute builds its index.
+                span.add_time(time.perf_counter() - started)
+                pairs = _timed_pairs(pairs, span)
+            return _Stream(pairs, INFINITY, IntervalSet.from_onwards(tau))
 
         def run(ctx: _Context) -> _Stream:
             ctx.stats.operators_evaluated += 1
-            inner = child(ctx)
+            inner = probed(ctx) if probe is not None else None
+            if inner is None:
+                inner = child(ctx)
             if inner.batch is not None:
                 # Vectorised predicate mask over whole column slices.
                 started = time.perf_counter()

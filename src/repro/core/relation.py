@@ -20,18 +20,52 @@ its duplicates", and union assigns ``max{texp_R(t), texp_S(t)}`` to a tuple
 present in both arguments.  Re-inserting a row therefore *extends* its
 lifetime, never shortens it; an explicit :meth:`Relation.override` exists
 for administrative corrections.
+
+Equality probes
+---------------
+
+:meth:`Relation.rows_where` answers "which rows have value ``c`` in
+attribute ``i``" from a per-attribute hash index built on the first probe
+of that attribute.  Every mutator keeps the built buckets current, so an
+unprobed relation pays one falsy check per mutation and nothing else.
+Copies and ``exp_τ`` results start without an index.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any, Collection, Dict, Iterable, Iterator, List, Mapping, Optional,
+    Sequence, Tuple,
+)
 
 from repro.core.schema import Schema, anonymous_schema
 from repro.core.timestamps import INFINITY, TimeLike, Timestamp, ts, ts_max, ts_min
 from repro.core.tuples import ExpiringTuple, Row, make_row
 from repro.errors import RelationError, SchemaError
 
-__all__ = ["Relation", "relation_from_rows"]
+__all__ = ["Relation", "bucket_rows", "relation_from_rows"]
+
+#: One attribute's equality index: value -> the rows holding it, as an
+#: insertion-ordered dict used as a set (keys only).
+Buckets = Dict[Any, Dict[Row, None]]
+
+
+def bucket_rows(rows: Iterable[Row], index: int) -> Buckets:
+    """Group ``rows`` by attribute ``index`` (0-based), keeping their order.
+
+    The from-scratch form of the index :meth:`Relation.rows_where` keeps
+    incrementally; a bucket's rows come out in storage order, so a probe
+    visits matches in exactly the order a scan would.
+    """
+    grouped: Buckets = {}
+    for row in rows:
+        value = row[index]
+        bucket = grouped.get(value)
+        if bucket is None:
+            grouped[value] = {row: None}
+        else:
+            bucket[row] = None
+    return grouped
 
 
 class Relation:
@@ -48,7 +82,7 @@ class Relation:
     [(2, 25)]
     """
 
-    __slots__ = ("schema", "_tuples")
+    __slots__ = ("schema", "_tuples", "_buckets")
 
     def __init__(
         self,
@@ -62,6 +96,9 @@ class Relation:
         else:
             self.schema = Schema(schema)
         self._tuples: Dict[Row, Timestamp] = {}
+        #: attribute index -> its equality buckets, for probed attributes
+        #: only; ``None`` until the first :meth:`rows_where`.
+        self._buckets: Optional[Dict[int, Buckets]] = None
         if tuples:
             for row, stamp in tuples.items():
                 self.insert(row, expires_at=stamp)
@@ -83,6 +120,7 @@ class Relation:
         relation = cls.__new__(cls)
         relation.schema = schema
         relation._tuples = tuples
+        relation._buckets = None
         return relation
 
     def bulk_load(self, pairs: Iterable[Tuple[Row, Timestamp]]) -> int:
@@ -96,10 +134,15 @@ class Relation:
         """
         tuples = self._tuples
         get = tuples.get
+        indexed = bool(self._buckets)
         count = 0
         for row, stamp in pairs:
             existing = get(row)
-            if existing is None or existing < stamp:
+            if existing is None:
+                tuples[row] = stamp
+                if indexed:
+                    self._index_add(row)
+            elif existing < stamp:
                 tuples[row] = stamp
             count += 1
         return count
@@ -116,10 +159,14 @@ class Relation:
         skipped.
         """
         tuples = self._tuples
+        indexed = bool(self._buckets)
         for row, stamp in ops:
             if stamp is None:
-                tuples.pop(row, None)
+                if tuples.pop(row, None) is not None and indexed:
+                    self._index_discard(row)
             else:
+                if indexed and row not in tuples:
+                    self._index_add(row)
                 tuples[row] = stamp
 
     def _sweep_due(
@@ -139,6 +186,7 @@ class Relation:
         """
         tuples = self._tuples
         get = tuples.get
+        indexed = bool(self._buckets)
         expired: List[Tuple[Row, Any]] = []
         processed = 0
         for row, scheduled in due:
@@ -146,6 +194,8 @@ class Relation:
             if current is None or now < current:
                 continue
             del tuples[row]
+            if indexed:
+                self._index_discard(row)
             processed += 1
             if collect:
                 expired.append((row, scheduled))
@@ -162,7 +212,10 @@ class Relation:
         self._check_arity(row)
         stamp = ts(expires_at)
         existing = self._tuples.get(row)
-        if existing is not None and stamp < existing:
+        if existing is None:
+            if self._buckets:
+                self._index_add(row)
+        elif stamp < existing:
             stamp = existing
         self._tuples[row] = stamp
         return ExpiringTuple(row, stamp)
@@ -172,13 +225,19 @@ class Relation:
         row = make_row(values)
         self._check_arity(row)
         stamp = ts(expires_at)
+        if self._buckets and row not in self._tuples:
+            self._index_add(row)
         self._tuples[row] = stamp
         return ExpiringTuple(row, stamp)
 
     def delete(self, values: Iterable[Any]) -> bool:
         """Explicitly remove a row; returns whether it was present."""
         row = make_row(values)
-        return self._tuples.pop(row, None) is not None
+        if self._tuples.pop(row, None) is None:
+            return False
+        if self._buckets:
+            self._index_discard(row)
+        return True
 
     def _check_arity(self, row: Row) -> None:
         if len(row) != self.schema.arity:
@@ -221,9 +280,51 @@ class Relation:
         """
         stamp = ts(tau)
         doomed = [row for row, texp in self._tuples.items() if texp <= stamp]
+        indexed = bool(self._buckets)
         for row in doomed:
             del self._tuples[row]
+            if indexed:
+                self._index_discard(row)
         return len(doomed)
+
+    # -- equality probes -----------------------------------------------------
+
+    def rows_where(self, index: int, value: Any) -> Collection[Row]:
+        """The stored rows whose attribute ``index`` (0-based) equals ``value``.
+
+        Expired-but-unswept rows are included (filter on ``texp`` as a
+        scan would).  The first call for an attribute builds its buckets
+        (one dict entry per stored row); from then on every mutator keeps
+        them current.  Equality is Python's, so ``1``, ``1.0`` and
+        ``True`` share a bucket.  The result is the live bucket, in
+        storage order: read it, and copy it before mutating the relation.
+        Flat row relations only -- the columnar and sharded subclasses
+        store their rows elsewhere and never build an index.
+        """
+        indexes = self._buckets
+        if indexes is None:
+            indexes = self._buckets = {}
+        buckets = indexes.get(index)
+        if buckets is None:
+            buckets = indexes[index] = bucket_rows(self._tuples, index)
+        return buckets.get(value, ())
+
+    def _index_add(self, row: Row) -> None:
+        for index, buckets in self._buckets.items():
+            value = row[index]
+            bucket = buckets.get(value)
+            if bucket is None:
+                buckets[value] = {row: None}
+            else:
+                bucket[row] = None
+
+    def _index_discard(self, row: Row) -> None:
+        for index, buckets in self._buckets.items():
+            value = row[index]
+            bucket = buckets[value]
+            del bucket[row]
+            if not bucket:
+                del buckets[value]
 
     # -- whole-relation statistics -------------------------------------------
 

@@ -15,7 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from repro.core.algebra.compiler import select_rows
 from repro.core.algebra.expressions import Expression, Literal
+from repro.core.algebra.predicates import TruePredicate
 from repro.core.relation import Relation
 from repro.core.schema import Schema
 from repro.engine.database import Database
@@ -39,10 +41,11 @@ from repro.sql.ast import (
     ShowTables,
     ShowViews,
     Statement,
+    TableSource,
     VacuumStatement,
 )
 from repro.sql.parser import parse_statements
-from repro.sql.planner import plan_query
+from repro.sql.planner import _Environment, _plan_condition, plan_query
 
 __all__ = ["SqlResult", "execute_sql", "execute_script"]
 
@@ -209,18 +212,7 @@ def _dispatch_statement(db: Database, statement: Statement) -> SqlResult:
 
     if isinstance(statement, DeleteStatement):
         table = db.table(statement.table)
-        if statement.where is None:
-            victims = list(table.read().rows())
-        else:
-            # Plan the predicate against the table's schema via a trivial
-            # single-source query environment.
-            probe = SelectQuery(
-                items=(),
-                source=_probe_source(statement.table),
-                where=statement.where,
-            )
-            predicate = _plan_delete_predicate(db, probe)
-            victims = [row for row in table.read().rows() if predicate.matches(row)]
+        victims = _victims(db, statement.table, statement.where)
         for row in victims:
             table.delete(row)
         return SqlResult(
@@ -275,14 +267,7 @@ def _dispatch_statement(db: Database, statement: Statement) -> SqlResult:
 
     if isinstance(statement, RenewStatement):
         table = db.table(statement.table)
-        if statement.where is None:
-            victims = list(table.read().rows())
-        else:
-            probe = SelectQuery(
-                items=(), source=_probe_source(statement.table), where=statement.where
-            )
-            predicate = _plan_delete_predicate(db, probe)
-            victims = [row for row in table.read().rows() if predicate.matches(row)]
+        victims = _victims(db, statement.table, statement.where)
         for row in victims:
             table.insert(row, expires_at=statement.expires_at, ttl=statement.ttl)
         return SqlResult(
@@ -293,14 +278,7 @@ def _dispatch_statement(db: Database, statement: Statement) -> SqlResult:
 
     if isinstance(statement, OverrideStatement):
         table = db.table(statement.table)
-        if statement.where is None:
-            victims = list(table.read().rows())
-        else:
-            probe = SelectQuery(
-                items=(), source=_probe_source(statement.table), where=statement.where
-            )
-            predicate = _plan_delete_predicate(db, probe)
-            victims = [row for row in table.read().rows() if predicate.matches(row)]
+        victims = _victims(db, statement.table, statement.where)
         for row in victims:
             table.override(row, expires_at=statement.expires_at, ttl=statement.ttl)
         return SqlResult(
@@ -385,19 +363,21 @@ def _describe(db: Database, name: str) -> SqlResult:
     raise SqlPlanError(f"unknown table or view {name!r}")
 
 
-def _probe_source(table_name: str):
-    from repro.sql.ast import TableSource
+def _victims(db: Database, table_name: str, where) -> list:
+    """The live rows of a table that a DELETE/RENEW/UPDATE ``WHERE`` names.
 
-    return TableSource(name=table_name)
-
-
-def _plan_delete_predicate(db: Database, probe: SelectQuery):
-    from repro.sql.planner import _Environment, _plan_condition
-
-    env = _Environment()
-    env.add(probe.source.binding, db.table(probe.source.name).schema)
-    assert probe.where is not None
-    return _plan_condition(probe.where, env)
+    The condition is planned against the table alone, compiled once, and
+    evaluated like a compiled ``σ`` over the base relation: an
+    ``attr = constant`` conjunct probes the equality index instead of
+    scanning.  No ``WHERE`` names every live row.
+    """
+    table = db.table(table_name)
+    predicate = TruePredicate()
+    if where is not None:
+        env = _Environment()
+        env.add(TableSource(name=table_name).binding, table.schema)
+        predicate = _plan_condition(where, env).resolve(table.schema)
+    return select_rows(table.relation, predicate, table.clock.now)
 
 
 def execute_sql(db: Database, text: str) -> SqlResult:

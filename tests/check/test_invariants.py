@@ -61,6 +61,7 @@ class TestCleanDatabases:
             "due-buffer-consistent",
             "shard-routing",
             "physical-covers-live",
+            "equality-index-stored",
         ]
         assert invariant_names()[-2:] == [
             "view-freshness",
@@ -119,6 +120,23 @@ class TestCorruptionsAreCaught:
         db.table("flat").relation.override((50, 5), ts(90))
         violations = db.verify(strict=False)
         assert "plan-cache-consistent" in names_of(violations)
+
+    def test_stale_equality_bucket(self):
+        db = build_db()
+        relation = db.table("flat").relation
+        assert list(relation.rows_where(0, 2)) == [(2, 0)]
+        assert db.verify(strict=False) == []
+        del relation._buckets[0][2][(2, 0)]  # a row the probe would miss
+        violations = db.verify(strict=False, deep=False)
+        assert names_of(violations) == {"equality-index-stored"}
+
+    def test_unindexed_row_behind_the_mutators_back(self):
+        db = build_db()
+        relation = db.table("flat").relation
+        relation.rows_where(0, 3)
+        relation._tuples[(3, 7)] = ts(40)  # stored, but in no bucket
+        violations = run_invariants(db, names=["equality-index-stored"])
+        assert [v.subject for v in violations] == ["flat[attribute 1]"]
 
     def test_names_filter(self):
         db = build_db()
