@@ -67,10 +67,12 @@ class Expression:
     """Base class for algebra expressions.
 
     Sub-classes are immutable value objects; the fluent methods below build
-    larger expressions without mutating their receivers.
+    larger expressions without mutating their receivers.  Being immutable,
+    an expression computes its (recursive) hash once and keeps it in a
+    slot, so a plan-cache lookup with a memoised expression is O(1).
     """
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
 
     # -- structure -----------------------------------------------------------
 
@@ -182,7 +184,12 @@ class Expression:
         return self._key() == other._key()  # type: ignore[attr-defined]
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, self._key()))
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((type(self).__name__, self._key()))
+            object.__setattr__(self, "_hash", value)
+            return value
 
     def _key(self) -> tuple:
         raise NotImplementedError

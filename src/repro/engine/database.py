@@ -191,7 +191,11 @@ class Database:
         # bump it -- expiry is exactly what a result's I(e) already
         # predicts, which is what makes the plan cache effective.
         self._catalog_version = 0
-        # Schema version: bumped on DDL only; gates compiled-plan reuse.
+        # Schema version: bumped on table DDL and on dropping a view; gates
+        # compiled-plan reuse and the SQL front end's memoised query plans
+        # (``FROM v`` inlines ``v``'s definition).  Creating a view needs
+        # no bump: names are unique across tables and views, so a new view
+        # only resolves a name that failed to plan before.
         self._schema_version = 0
         #: Debug mode: audit every cross-structure invariant after each
         #: mutation and sweep (see :mod:`repro.check.invariants`).  Orders
@@ -431,7 +435,7 @@ class Database:
 
     @property
     def schema_version(self) -> int:
-        """Monotone counter of DDL changes; invalidates compiled plans."""
+        """Monotone counter of DDL changes; invalidates plans."""
         return self._schema_version
 
     def note_data_change(self) -> None:
@@ -634,6 +638,7 @@ class Database:
             raise CatalogError(f"unknown view {name!r}")
         self._views[name]._unsubscribe()
         del self._views[name]
+        self._schema_version += 1
         self._wal_append("drop_view", name=name)
 
     # -- durability -------------------------------------------------------------------

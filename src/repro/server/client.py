@@ -45,9 +45,9 @@ from repro.server.protocol import (
     read_frame,
     write_frame,
 )
-from repro.sql.ast import SelectQuery, SetOperation
-from repro.sql.executor import SqlResult, execute_sql
+from repro.sql.executor import SqlResult, execute_sql, execute_statement
 from repro.sql.parser import parse_statements
+from repro.sql.prepared import single_query, statement_cache
 
 __all__ = [
     "AsyncSession",
@@ -132,19 +132,6 @@ def _result_from_payload(payload: dict) -> Result:
         now=decode_exp(payload.get("now")) if payload.get("now") is not None else ts(0),
         data_version=payload.get("data_version", 0),
     )
-
-
-def _require_single_query(text: str) -> None:
-    """``query()`` refuses non-row-producing statements *before* executing
-    them (catching it afterwards would leave the side effects applied)."""
-    statements = parse_statements(text)
-    if len(statements) != 1 or not isinstance(
-        statements[0], (SelectQuery, SetOperation)
-    ):
-        raise SessionError(
-            "query expects exactly one row-producing statement; "
-            "use execute() for DDL and DML"
-        )
 
 
 class Subscription(abc.ABC):
@@ -277,8 +264,12 @@ class LocalSession(Session):
 
     def query(self, text: str) -> Result:
         self._check_open()
-        _require_single_query(text)
-        return self.execute(text)
+        statement = single_query(
+            parse_statements(text, statement_cache(self.db)))
+        self._check_floor()
+        result = execute_statement(self.db, statement)
+        self._observe()
+        return _result_from_sql(result, self.db)
 
     def subscribe(self, view: str) -> LocalSubscription:
         self._check_open()

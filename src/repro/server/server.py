@@ -50,9 +50,9 @@ from repro.server.protocol import (
     write_frame,
 )
 from repro.server.session import ServerSession, diff_states
-from repro.sql.ast import SelectQuery, SetOperation
 from repro.sql.executor import SqlResult, execute_sql, execute_statement
 from repro.sql.parser import parse_statements
+from repro.sql.prepared import single_query, statement_cache
 
 __all__ = ["ReproServer", "declare_server_families"]
 
@@ -541,18 +541,12 @@ class ReproServer:
         self, session: ServerSession, frame: dict, rid, require_rows: bool
     ) -> None:
         text = frame.get("text", "")
-        statements = parse_statements(text)
-        if require_rows and (
-            len(statements) != 1
-            or not isinstance(statements[0], (SelectQuery, SetOperation))
-        ):
-            raise SessionError(
-                "query expects exactly one row-producing statement; "
-                "use sql/execute for DDL and DML"
-            )
+        statements = parse_statements(text, statement_cache(self.db))
+        if require_rows:
+            single_query(statements)
         session.check_floor()
         if len(statements) == 1:
-            # Already parsed for classification; don't parse again.
+            # Already parsed for classification; don't look it up again.
             result = execute_statement(self.db, statements[0])
         else:
             result = execute_sql(self.db, text)  # canonical one-stmt error

@@ -19,7 +19,6 @@ from repro.core.algebra.compiler import select_rows
 from repro.core.algebra.expressions import Expression, Literal
 from repro.core.algebra.predicates import TruePredicate
 from repro.core.relation import Relation
-from repro.core.schema import Schema
 from repro.engine.database import Database
 from repro.engine.views import MaintenancePolicy
 from repro.errors import SqlPlanError
@@ -46,8 +45,9 @@ from repro.sql.ast import (
 )
 from repro.sql.parser import parse_statements
 from repro.sql.planner import _Environment, _plan_condition, plan_query
+from repro.sql.prepared import source_resolver, statement_cache
 
-__all__ = ["SqlResult", "execute_sql", "execute_script"]
+__all__ = ["SqlResult", "execute_sql", "execute_script", "execute_statement"]
 
 _POLICIES = {
     "recompute": MaintenancePolicy.RECOMPUTE,
@@ -78,23 +78,9 @@ class SqlResult:
         return f"SqlResult({self.kind!r}, {self.message!r})"
 
 
-def _source_resolver(db: Database):
-    """FROM-clause resolution: tables by reference, views by inlining."""
-
-    def resolve(name: str) -> Tuple[Expression, Schema]:
-        if db.has_table(name):
-            return db.table_expr(name), db.table(name).schema
-        if db.has_view(name):
-            view = db.view(name)
-            expression = view.expression
-            return expression, expression.infer_schema(db.schema_resolver)
-        raise SqlPlanError(f"unknown table or view {name!r}")
-
-    return resolve
-
-
-def _execute_query(db: Database, query: QueryNode) -> SqlResult:
-    expression = plan_query(query, _source_resolver(db))
+def _execute_query(
+    db: Database, query: QueryNode, expression: Expression
+) -> SqlResult:
     result = db.evaluate(expression)
     rows = _present_rows(result.relation, query)
     return SqlResult(
@@ -130,7 +116,11 @@ def _present_rows(relation: Relation, query: QueryNode) -> list:
 
 
 def _execute_statement(db: Database, statement: Statement) -> SqlResult:
-    result = _dispatch_statement(db, statement)
+    if isinstance(statement, (SelectQuery, SetOperation)):
+        expression = statement_cache(db).plan(db, statement)
+        result = _execute_query(db, statement, expression)
+    else:
+        result = _dispatch_statement(db, statement)
     db.metrics.counter(
         "repro_sql_statements_total",
         "SQL statements executed, by result kind.",
@@ -142,7 +132,7 @@ def _execute_statement(db: Database, statement: Statement) -> SqlResult:
 def _dispatch_statement(db: Database, statement: Statement) -> SqlResult:
     if isinstance(statement, CreateTable):
         if statement.query is not None:
-            expression = plan_query(statement.query, _source_resolver(db))
+            expression = plan_query(statement.query, source_resolver(db))
             evaluated = db.evaluate(expression)
             table = db.create_table(statement.name, evaluated.relation.schema)
             for row, texp in evaluated.relation.items():
@@ -180,7 +170,7 @@ def _dispatch_statement(db: Database, statement: Statement) -> SqlResult:
     if isinstance(statement, InsertStatement):
         table = db.table(statement.table)
         if statement.query is not None:
-            expression = plan_query(statement.query, _source_resolver(db))
+            expression = plan_query(statement.query, source_resolver(db))
             evaluated = db.evaluate(expression)
             if evaluated.relation.arity != table.schema.arity:
                 raise SqlPlanError(
@@ -221,11 +211,8 @@ def _dispatch_statement(db: Database, statement: Statement) -> SqlResult:
             rowcount=len(victims),
         )
 
-    if isinstance(statement, (SelectQuery, SetOperation)):
-        return _execute_query(db, statement)
-
     if isinstance(statement, CreateView):
-        expression = plan_query(statement.query, _source_resolver(db))
+        expression = plan_query(statement.query, source_resolver(db))
         policy = _POLICIES[statement.policy] if statement.policy else MaintenancePolicy.SCHRODINGER
         db.materialise(statement.name, expression, policy=policy)
         return SqlResult(
@@ -300,7 +287,7 @@ def _explain(db: Database, statement: ExplainStatement) -> SqlResult:
     from repro.core.monotonicity import classify, nonmonotonic_count
     from repro.core.rewriter import optimise
 
-    expression = plan_query(statement.query, _source_resolver(db))
+    expression = plan_query(statement.query, source_resolver(db))
     rewritten = optimise(expression, db.schema_resolver)
     result = db.evaluate(rewritten, trace=statement.analyze)
     lines = [
@@ -381,8 +368,8 @@ def _victims(db: Database, table_name: str, where) -> list:
 
 
 def execute_sql(db: Database, text: str) -> SqlResult:
-    """Parse and execute exactly one statement."""
-    statements = parse_statements(text)
+    """Parse (through the statement cache) and execute exactly one statement."""
+    statements = parse_statements(text, statement_cache(db))
     if len(statements) != 1:
         raise SqlPlanError(
             f"execute_sql expects one statement, got {len(statements)}; "
@@ -394,13 +381,16 @@ def execute_sql(db: Database, text: str) -> SqlResult:
 def execute_statement(db: Database, statement: Statement) -> SqlResult:
     """Execute one already-parsed statement.
 
-    The server's dispatch path parses once to classify the request and
-    then executes the same AST here, instead of paying a second parse
-    inside :func:`execute_sql`.
+    The server and sessions parse a text once (through the statement
+    cache) to classify the request and then execute the same statement
+    here, instead of looking the text up again inside :func:`execute_sql`.
     """
     return _execute_statement(db, statement)
 
 
 def execute_script(db: Database, text: str) -> List[SqlResult]:
     """Parse and execute a ``;``-separated script, returning all results."""
-    return [_execute_statement(db, s) for s in parse_statements(text)]
+    return [
+        _execute_statement(db, s)
+        for s in parse_statements(text, statement_cache(db))
+    ]

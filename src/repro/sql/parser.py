@@ -8,7 +8,7 @@ NULLs) raise :class:`~repro.errors.UnsupportedSqlError`.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.errors import SqlParseError, UnsupportedSqlError
 from repro.sql.ast import (
@@ -537,9 +537,20 @@ class _Parser:
         raise self._error("expected a column reference, aggregate, or literal")
 
 
-def parse_statements(text: str) -> List[Statement]:
-    """Parse a ``;``-separated script into statements."""
-    return _Parser(tokenize(text)).parse_all()
+def parse_statements(text: str, cache=None) -> Sequence[Statement]:
+    """Parse a ``;``-separated script into statements.
+
+    With ``cache`` -- a database's
+    :func:`~repro.sql.prepared.statement_cache` -- a text parsed before
+    returns its cached statements (a tuple) without being lexed or parsed
+    again; the AST is frozen, so sharing it is safe.
+    """
+    if cache is None:
+        return _Parser(tokenize(text)).parse_all()
+    statements = cache.get(text)
+    if statements is None:
+        statements = cache.put(text, _Parser(tokenize(text)).parse_all())
+    return statements
 
 
 def parse_sql(text: str) -> Statement:

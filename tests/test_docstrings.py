@@ -46,6 +46,7 @@ MODULES = [
     "repro.sql.parser",
     "repro.sql.planner",
     "repro.sql.executor",
+    "repro.sql.prepared",
     "repro.distributed.events",
     "repro.distributed.link",
     "repro.distributed.node",

@@ -37,6 +37,7 @@ PUBLIC_MODULES = [
     "repro.engine.table",
     "repro.engine.views",
     "repro.sql",
+    "repro.sql.prepared",
     "repro.cli",
     "repro.obs",
     "repro.obs.registry",
@@ -57,6 +58,7 @@ DOCTEST_MODULES = [
     "repro.core.algebra.serde",
     "repro.engine.database",
     "repro.sql",
+    "repro.sql.prepared",
     "repro.workloads.authz",
     "repro.workloads.sessions",
     "repro.workloads.streaming",
